@@ -26,7 +26,7 @@ from repro.validate import audit_partition, validate_design
 def main() -> None:
     design = PowerLawDesign([3, 4, 5, 9, 16])  # 97,920-edge product
     chain = design.to_chain()
-    cluster = VirtualCluster(n_ranks=8, memory_entries=1_000_000)
+    cluster = VirtualCluster(n_ranks=8, memory_budget_entries=1_000_000)
     print(f"design : {design}")
     print(f"cluster: {cluster}")
 

@@ -72,9 +72,9 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
         "--scheduler",
         choices=["static", "queue"],
         default="static",
-        help="task dispatch: 'static' batches in rank order with a "
-        "barrier; 'queue' streams tasks longest-first to whichever "
-        "worker frees up (output is byte-identical either way)",
+        help="task dispatch: 'static' submits tasks in rank order; "
+        "'queue' submits them longest-first; either way tasks go to "
+        "whichever worker frees up and output is byte-identical",
     )
     p.add_argument(
         "--max-retries",
@@ -260,11 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gen.add_argument(
         "--transport",
-        choices=["inproc", "socket", "mpi"],
+        choices=["inproc", "socket"],
         default="inproc",
         help="with --sink net: how tile frames move to the collector "
-        "(inproc queues, localhost TCP, or MPI point-to-point; mpi "
-        "needs mpi4py and an mpiexec launch)",
+        "(inproc queues or localhost TCP)",
     )
     from repro.models import MODEL_CHOICES
 
@@ -362,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "info",
-        help="report which optional capabilities (native kernel, MPI, "
+        help="report which optional capabilities (native kernel, "
         "backends, transports, generator models) this machine has",
     )
 
@@ -819,8 +818,8 @@ def cmd_check_files(args: argparse.Namespace) -> int:
 
 def cmd_info(args: argparse.Namespace) -> int:
     """Report which optional capabilities this machine actually has, so
-    "works here, fails there" surprises (no numba, no mpi4py, fork-only
-    platforms) are diagnosable in one command."""
+    "works here, fails there" surprises (no numba, fork-only platforms)
+    are diagnosable in one command."""
     import multiprocessing
     import os
     import platform
@@ -829,7 +828,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
     from repro.kron import _fast
     from repro.models import MODEL_CHOICES
-    from repro.net import list_transports, mpi_available
+    from repro.net import list_transports
     from repro.parallel.backends import default_start_method, list_backends
 
     print(f"repro-graph {__version__}")
@@ -855,8 +854,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         f"start methods: {', '.join(methods)} "
         f"(default: {default_start_method()})"
     )
-    print(f"transports: {', '.join(list_transports())}", end="")
-    print(f" (mpi4py: {'yes' if mpi_available() else 'no'})")
+    print(f"transports: {', '.join(list_transports())}")
     print(f"generator models: {', '.join(MODEL_CHOICES)}")
     return 0
 

@@ -8,13 +8,13 @@ they now share:
 * :mod:`repro.engine.plan` — the :class:`GenerationPlan` IR: partition,
   per-rank tasks with exact size predictions, run fingerprint,
   generation-time transforms, and the memory budget;
-* :mod:`repro.engine.scheduler` — :class:`StaticScheduler`: deterministic
-  rank-order batching (whole-run, per-rank, or budget-packed); and
-  :class:`WorkQueueScheduler`: completion-driven LPT work queue
-  (no barriers, rank-order commit via the engine's reorder buffer);
+* :mod:`repro.engine.scheduler` — the submission order and in-flight
+  window: :class:`StaticScheduler` (ascending rank) and
+  :class:`WorkQueueScheduler` (longest task first);
 * :mod:`repro.engine.execute` — :func:`execute`: the one loop, running
-  tiled kernels (:func:`repro.kron.kron_tiles`) through the
-  :class:`~repro.runtime.RankExecutor` into a sink;
+  tiled kernels (:func:`repro.kron.kron_tiles`) through
+  :meth:`RankExecutor.run_iter <repro.runtime.RankExecutor.run_iter>`
+  into a sink, committing in ascending rank order;
 * :mod:`repro.engine.sinks` — :class:`AssemblySink` (in-memory union),
   :class:`ShardSink` (crash-safe atomic shards + manifest),
   :class:`DegreeSink` (streaming degree histogram, no edge storage).

@@ -1,40 +1,29 @@
-"""``RunConfig`` — one object for the run-shaping kwarg sprawl.
+"""``RunConfig`` — one object for every run-shaping choice.
 
-Every generation driver historically grew the same keyword arguments
-(``backend=``, ``scheduler=``, ``memory_budget_entries=``, ...), each
-with its own defaults and deprecation shims.  :class:`RunConfig`
-consolidates them: build one frozen config, pass it as ``config=`` to
-:func:`repro.engine.execute.execute`,
+Every generation driver takes its run-shaping choices (backend,
+scheduler, memory budget, ...) as one frozen :class:`RunConfig` passed
+as ``config=`` to :func:`repro.engine.execute.execute`,
+:func:`repro.net.execute_over_transport`,
 :func:`repro.parallel.stream.generate_to_disk`,
 :func:`repro.parallel.generator.generate_design_parallel`,
 :func:`repro.parallel.stream.streamed_degree_distribution`,
 :func:`repro.parallel.scaling.run_scaling_study`, or
 :func:`repro.parallel.simulate.simulate_rate_curve`.
 
-The individual kwargs keep working through :func:`resolve_run_config`:
-passing any of them folds the values into a ``RunConfig`` and emits one
-:class:`DeprecationWarning` per function per process (not one per call —
-a driver loop must not spam).  Mixing ``config=`` with an explicit
-individual kwarg is ambiguous and raises
-:class:`~repro.errors.GenerationError`.
-
 Not every function can honour every field (``execute`` takes its memory
 budget from the plan; the degree driver has no checkpoint directory).
-Functions declare those fields unsupported, and a config that sets one
-raises loudly instead of being silently ignored.
+Functions declare those fields unsupported, and
+:func:`resolve_run_config` raises on a config that sets one instead of
+silently ignoring it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Set, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import GenerationError
 from repro.kron._fast import KERNEL_CHOICES
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit None.
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -51,12 +40,11 @@ class RunConfig:
         or instance; ``None`` means serial.
     scheduler:
         A scheduler instance, or ``None`` for each driver's default
-        (static batching).
+        (rank-order submission; see :mod:`repro.engine.scheduler`).
     memory_budget_entries:
         Per-rank memory budget in stored entries; ``None`` means the
         driver's default (50M entries for the generation drivers, 40M
-        for ``simulate_rate_curve``, whose kwarg is historically named
-        ``max_block_entries``).
+        for ``simulate_rate_curve``).
     transport:
         ``repro.net`` transport name routing tiles through a collector
         (``generate_to_disk`` only); ``None`` writes directly.
@@ -133,68 +121,32 @@ class RunConfig:
 
 _DEFAULT = RunConfig()
 
-#: Functions that already warned about individual run-shaping kwargs
-#: this process ("warns once" — per function, not per call).
-_WARNED: Set[str] = set()
-
-
-def _reset_warned() -> None:
-    """Forget which functions have warned (test isolation helper)."""
-    _WARNED.clear()
-
 
 def resolve_run_config(
     func_name: str,
     config: Optional[RunConfig],
     *,
     unsupported: Tuple[str, ...] = (),
-    **legacy,
 ) -> RunConfig:
-    """Fold a function's run-shaping arguments into one ``RunConfig``.
+    """The ``RunConfig`` a driver runs with: ``config``, or the neutral
+    ``RunConfig()`` when it is ``None``.
 
-    ``legacy`` maps field names to the function's individual kwarg
-    values, where :data:`_UNSET` means "caller did not pass it".  The
-    contract, shared by every config-accepting driver:
-
-    * ``config`` given and no individual kwarg → use ``config``;
-    * individual kwargs only → fold them into a ``RunConfig`` and warn
-      once per function (they are deprecated in favour of ``config=``);
-    * both → :class:`~repro.errors.GenerationError` (ambiguous);
-    * a resulting config that sets a field named in ``unsupported`` →
-      :class:`~repro.errors.GenerationError` (loud, never silently
-      ignored).
+    Raises :class:`~repro.errors.GenerationError` when ``config`` is not
+    a ``RunConfig`` or sets a field named in ``unsupported`` (loud,
+    never silently ignored).
     """
-    explicit = sorted(k for k, v in legacy.items() if v is not _UNSET)
-    if config is not None:
-        if explicit:
-            raise GenerationError(
-                f"{func_name}: pass either config= or the individual "
-                f"{explicit} keyword(s), not both"
-            )
-        if not isinstance(config, RunConfig):
-            raise GenerationError(
-                f"{func_name}: config must be a RunConfig, got "
-                f"{type(config).__name__}"
-            )
-        resolved = config
-    else:
-        if explicit and func_name not in _WARNED:
-            _WARNED.add(func_name)
-            warnings.warn(
-                f"{func_name}: individual run-shaping keywords "
-                f"({', '.join(explicit)}) are deprecated; pass "
-                "config=RunConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        resolved = RunConfig(
-            **{k: v for k, v in legacy.items() if v is not _UNSET}
+    if config is None:
+        config = _DEFAULT
+    elif not isinstance(config, RunConfig):
+        raise GenerationError(
+            f"{func_name}: config must be a RunConfig, got "
+            f"{type(config).__name__}"
         )
-    bad = sorted(set(resolved.non_default_fields()) & set(unsupported))
+    bad = sorted(set(config.non_default_fields()) & set(unsupported))
     if bad:
         raise GenerationError(
             f"{func_name} does not support config field(s) {bad}; "
             "clear them (see RunConfig docs for which driver honours "
             "which field)"
         )
-    return resolved
+    return config

@@ -10,24 +10,19 @@ the tiles into the sink's consumer — so peak memory per rank is bounded
 by ``memory_budget_entries`` (plus the model's single-row floor) instead
 of the whole rank block.
 
-:func:`execute` drives the whole run through the
-:class:`~repro.runtime.RankExecutor` (retry/backoff/timeout/straggler
-accounting come for free) on one of two paths, chosen by the scheduler:
-
-* **batch-synchronous** (default, :class:`StaticScheduler`): each batch
-  is one ``executor.run`` call with a barrier after it, outcomes commit
-  in batch (= ascending rank) order;
-* **completion-driven** (any scheduler with ``streaming = True``, i.e.
-  :class:`~repro.engine.scheduler.WorkQueueScheduler`): tasks stream
-  through ``executor.run_iter`` in the scheduler's submission order and
-  land in whatever order workers finish; a **reorder buffer** holds
-  completed-but-not-yet-committable outcomes so ``sink.commit`` still
-  happens in ascending rank order — shard bytes, ``manifest.json``, and
-  resume behavior are byte-identical to the static path.  The buffer is
-  bounded by the plan's ``memory_budget_entries``: when buffered
-  estimated entries exceed it, submission pauses (backpressure) except
-  for the commit-pointer task itself, which is always eligible so the
-  buffer can drain and the run cannot deadlock.
+:func:`execute` drives the whole run through one completion-driven
+loop: tasks stream through :meth:`~repro.runtime.RankExecutor.run_iter`
+(retry/backoff/timeout/online straggler accounting come for free) in
+the scheduler's submission order, at most the scheduler's
+``max_in_flight`` at a time, and land in whatever order workers finish.
+A **reorder buffer** holds completed-but-not-yet-committable outcomes
+so ``sink.commit`` happens in ascending rank order under every
+scheduler — shard bytes, ``manifest.json``, and resume behavior do not
+depend on the submission order or the window.  The buffer is bounded by
+the plan's ``memory_budget_entries``: when buffered estimated entries
+exceed it, submission pauses (backpressure) except for the
+commit-pointer task itself, which is always eligible so the buffer can
+drain and the run cannot deadlock.
 
 Fatal failures (``StorageError``, ``FatalRankError``,
 ``RetryExhaustedError``) abort the sink — which leaves a resumable
@@ -40,7 +35,7 @@ Metrics: ``engine.tasks`` (executed, excluding skipped),
 ``engine.tiles`` (total tiles across all ranks — how often the kernel
 had to cut), ``engine.peak_tile_entries`` (the realized memory
 high-water mark, reset at the start of every run), ``engine.queue_depth``
-(peak in-flight tasks, streaming path), ``engine.worker_utilization``
+(peak in-flight tasks), ``engine.worker_utilization``
 (busy worker-seconds over ``workers × wall``), and
 ``engine.straggler_gap_s`` (slowest final attempt minus the median).
 Elastic backends add ``engine.workers_active`` (live members),
@@ -60,7 +55,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.engine.config import _UNSET, RunConfig, resolve_run_config
+from repro.engine.config import RunConfig, resolve_run_config
 from repro.engine.plan import GenerationPlan, RankTask
 from repro.engine.scheduler import StaticScheduler
 from repro.engine.sinks import Sink
@@ -117,8 +112,8 @@ class _RankMappedInjector:
     ``(rank, attempt)`` contract.
 
     The mapping is explicit ``(index, rank)`` pairs — task identity, not
-    batch-local position — so the streaming path can never misattribute
-    an injected failure when submission order ≠ rank order.  Frozen and
+    submission position — so an injected failure is never misattributed
+    when submission order ≠ rank order.  Frozen and
     module-level so it pickles across the multiprocessing boundary (the
     wrapped injector must be picklable itself, as before)."""
 
@@ -167,7 +162,7 @@ class EngineResult:
     sink_result: object
     stats: Tuple[TaskStats, ...]
     skipped_ranks: Tuple[int, ...]
-    executions: Tuple[ExecutionResult, ...]
+    execution: ExecutionResult
     elapsed_s: float
 
     @property
@@ -277,9 +272,7 @@ def execute(
     sink: Sink,
     *,
     config: RunConfig | None = None,
-    backend=None,
     executor: RankExecutor | None = None,
-    scheduler=None,
     metrics: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
     events: RankEvents | None = None,
@@ -290,26 +283,22 @@ def execute(
 ) -> EngineResult:
     """Run ``plan`` through ``sink`` — the one generation loop.
 
-    ``config`` is the preferred way to shape the run
-    (:class:`~repro.engine.config.RunConfig`): ``execute`` honours its
-    ``backend``, ``scheduler``, and ``kernel`` fields (a non-``"auto"``
-    config kernel overrides the plan's); the remaining fields belong to
-    the higher-level drivers and raise here.  The individual ``backend``
-    / ``scheduler`` keywords are deprecated aliases (they warn once).
+    ``config`` (:class:`~repro.engine.config.RunConfig`) shapes the run:
+    ``execute`` honours its ``backend``, ``scheduler``, and ``kernel``
+    fields (a non-``"auto"`` config kernel overrides the plan's); the
+    remaining fields belong to the higher-level drivers and raise here.
 
     ``executor`` overrides the backend/retry/timeout arguments when
-    given; ``scheduler`` defaults to a single all-task batch
-    (:class:`~repro.engine.scheduler.StaticScheduler`).  A scheduler
-    carrying ``streaming = True`` (e.g.
-    :class:`~repro.engine.scheduler.WorkQueueScheduler`) switches to the
-    completion-driven path; commit order — and therefore all sink output
-    — is identical either way.  ``failure_injector`` is called as
+    given; the scheduler defaults to ascending-rank submission with a
+    backend-sized window (:class:`~repro.engine.scheduler.StaticScheduler`).
+    Commit order — and therefore all sink output — is the same under
+    every scheduler.  ``failure_injector`` is called as
     ``injector(rank, attempt)`` inside the worker, before the kernel —
     the adversary hook the failure tests drive.
 
     On an elastic backend (:class:`~repro.typing.ElasticBackend`, e.g.
     :class:`~repro.runtime.elastic.ElasticWorkerPool`) the engine binds
-    the pool's churn metrics into ``metrics``, bounds the streaming
+    the pool's churn metrics into ``metrics``, bounds a backend-sized
     in-flight window by the pool's *live* worker count, and installs
     ``scale_policy`` (a ``PoolStats -> target size | None`` callable
     consulted on submit/completion/tick — the autoscaler hook).  Passing
@@ -318,7 +307,7 @@ def execute(
     changes output: lost tasks are reassigned with their original
     identity and the reorder buffer still commits in ascending rank
     order, so shard bytes, ``manifest.json``, and resume behavior match
-    a static run exactly.
+    a churn-free run exactly.
     """
     cfg = resolve_run_config(
         "execute",
@@ -331,26 +320,21 @@ def execute(
             "scramble_seed",
             "model",
         ),
-        backend=_UNSET if backend is None else backend,
-        scheduler=_UNSET if scheduler is None else scheduler,
     )
-    backend = cfg.backend
-    scheduler = cfg.scheduler
+    scheduler = cfg.scheduler or StaticScheduler()
     if cfg.kernel != "auto" and cfg.kernel != plan.kernel:
         plan = replace(plan, kernel=cfg.kernel)
-    if executor is None:
-        from repro.parallel.backends import resolve_backend
+    from repro.parallel.backends import backend_worker_count, resolve_backend
 
+    if executor is None:
         executor = RankExecutor(
-            resolve_backend(backend),
+            resolve_backend(cfg.backend),
             max_retries=max_retries,
             rank_timeout_s=rank_timeout_s,
             metrics=metrics,
             tracer=tracer,
             events=events,
         )
-    if scheduler is None:
-        scheduler = StaticScheduler()
     from repro.typing import ElasticBackend
 
     elastic = isinstance(executor.backend, ElasticBackend)
@@ -370,7 +354,6 @@ def execute(
         # second run must not report the first run's peak/depth.
         metrics.gauge("engine.peak_tile_entries").set(0)
         metrics.gauge("engine.queue_depth").set(0)
-    streaming = bool(getattr(scheduler, "streaming", False))
     model = plan.model
     # Resolve the kernel once, coordinator-side — resolution is
     # model-owned: every worker gets a concrete "numpy"/"native" (a
@@ -408,7 +391,6 @@ def execute(
     pending = [t for t in plan.tasks if t.rank not in skip_set]
     if metrics is not None:
         metrics.counter("engine.tasks").inc(len(pending))
-    executions: List[ExecutionResult] = []
     stats: List[TaskStats] = []
     peak = 0
     queue_depth_peak = 0
@@ -464,114 +446,71 @@ def execute(
                 metrics.gauge("engine.peak_tile_entries").set(peak)
 
     try:
-        if streaming:
-            order = scheduler.order(
-                pending, memory_budget_entries=plan.memory_budget_entries
+        order = scheduler.order(
+            pending, memory_budget_entries=plan.memory_budget_entries
+        )
+        injector = (
+            None
+            if failure_injector is None
+            else _RankMappedInjector(
+                tuple((i, t.rank) for i, t in enumerate(order)),
+                failure_injector,
             )
-            work = [make_work(t) for t in order]
-            injector = (
-                None
-                if failure_injector is None
-                else _RankMappedInjector(
-                    tuple((i, t.rank) for i, t in enumerate(order)),
-                    failure_injector,
-                )
-            )
-            # Commit pointer: item indices in ascending-rank order; the
-            # reorder buffer drains along this sequence.
-            commit_seq = sorted(
-                range(len(order)), key=lambda i: order[i].rank
-            )
-            buffered: Dict[int, TaskOutcome] = {}
-            buffered_entries = 0
-            pos = 0
-            budget = plan.memory_budget_entries
+        )
+        # Commit pointer: item indices in ascending-rank order; the
+        # reorder buffer drains along this sequence.
+        commit_seq = sorted(range(len(order)), key=lambda i: order[i].rank)
+        buffered: Dict[int, TaskOutcome] = {}
+        buffered_entries = 0
+        pos = 0
+        budget = plan.memory_budget_entries
 
-            def submit_hook(
-                unsubmitted: Tuple[int, ...]
-            ) -> Optional[int]:
-                # Backpressure: once buffered-but-uncommittable outcomes
-                # exceed the budget, only the commit-pointer task may
-                # still be submitted — it is what the buffer is waiting
-                # on, so refusing it would deadlock while admitting it
-                # drains the buffer.
-                if budget is None or buffered_entries <= budget:
-                    return unsubmitted[0]
-                head = commit_seq[pos]
-                if head in unsubmitted:
-                    return head
-                return None
+        def submit_hook(unsubmitted: Tuple[int, ...]) -> Optional[int]:
+            # Backpressure: once buffered-but-uncommittable outcomes
+            # exceed the budget, only the commit-pointer task may still
+            # be submitted — it is what the buffer is waiting on, so
+            # refusing it would deadlock while admitting it drains it.
+            if budget is None or buffered_entries <= budget:
+                return unsubmitted[0]
+            head = commit_seq[pos]
+            return head if head in unsubmitted else None
 
-            max_in_flight = getattr(scheduler, "max_in_flight", None)
-            if max_in_flight is None:
-                if elastic:
-                    # The window must track the *live* membership as
-                    # workers join and leave; run_iter re-evaluates the
-                    # callable before each submission (clamped >= 1 so
-                    # an empty pool queues instead of stalling).
-                    max_in_flight = executor.backend.worker_count
-                else:
-                    from repro.parallel.backends import backend_worker_count
-
-                    max_in_flight = backend_worker_count(executor.backend)
-            results_by_index: Dict[int, TaskOutcome] = {}
-            reports_by_index: Dict[int, RankReport] = {}
-            span_cm = (
-                tracer.span("engine.stream", ranks=len(order))
-                if tracer is not None
-                else nullcontext()
+        max_in_flight = scheduler.max_in_flight
+        if max_in_flight is None:
+            # An elastic window must track the *live* membership as
+            # workers join and leave; run_iter re-evaluates the callable
+            # before each submission (clamped >= 1 so an empty pool
+            # queues instead of stalling).
+            max_in_flight = (
+                executor.backend.worker_count
+                if elastic
+                else backend_worker_count(executor.backend)
             )
-            with span_cm:
-                for done in executor.run_iter(
-                    _run_rank_task,
-                    work,
-                    injector=injector,
-                    max_in_flight=max_in_flight,
-                    submit_hook=submit_hook,
-                ):
-                    queue_depth_peak = max(queue_depth_peak, done.in_flight)
-                    results_by_index[done.index] = done.value
-                    reports_by_index[done.index] = done.report
-                    buffered[done.index] = done.value
-                    buffered_entries += order[done.index].estimated_entries
-                    while pos < len(commit_seq) and commit_seq[pos] in buffered:
-                        i = commit_seq[pos]
-                        outcome = buffered.pop(i)
-                        buffered_entries -= order[i].estimated_entries
-                        commit(order[i], outcome)
-                        pos += 1
-            executions.append(
-                ExecutionResult(
-                    results=[results_by_index[i] for i in range(len(order))],
-                    reports=[reports_by_index[i] for i in range(len(order))],
-                )
-            )
-        else:
-            batches = scheduler.schedule(
-                pending, memory_budget_entries=plan.memory_budget_entries
-            )
-            for batch in batches:
-                injector = (
-                    None
-                    if failure_injector is None
-                    else _RankMappedInjector(
-                        tuple((i, t.rank) for i, t in enumerate(batch)),
-                        failure_injector,
-                    )
-                )
-                work = [make_work(t) for t in batch]
-                span_cm = (
-                    tracer.span("engine.batch", ranks=len(batch))
-                    if tracer is not None
-                    else nullcontext()
-                )
-                with span_cm:
-                    execution = executor.run(
-                        _run_rank_task, work, injector=injector
-                    )
-                executions.append(execution)
-                for task, outcome in zip(batch, execution.results):
-                    commit(task, outcome)
+        results: List[object] = [None] * len(order)
+        reports: List[Optional[RankReport]] = [None] * len(order)
+        span_cm = (
+            tracer.span("engine.stream", ranks=len(order))
+            if tracer is not None
+            else nullcontext()
+        )
+        with span_cm:
+            for done in executor.run_iter(
+                _run_rank_task,
+                [make_work(t) for t in order],
+                injector=injector,
+                max_in_flight=max_in_flight,
+                submit_hook=submit_hook,
+            ):
+                queue_depth_peak = max(queue_depth_peak, done.in_flight)
+                results[done.index] = done.value
+                reports[done.index] = done.report
+                buffered[done.index] = done.value
+                buffered_entries += order[done.index].estimated_entries
+                while pos < len(commit_seq) and commit_seq[pos] in buffered:
+                    i = commit_seq[pos]
+                    buffered_entries -= order[i].estimated_entries
+                    commit(order[i], buffered.pop(i))
+                    pos += 1
     except (StorageError, FatalRankError, RetryExhaustedError) as exc:
         # Storage is unusable or a rank is unrecoverable: let the sink
         # leave clean state behind (ShardSink commits a `failed`
@@ -591,29 +530,19 @@ def execute(
             if metrics is not None:
                 metrics.gauge("engine.shm_leaked").set(len(leaked))
     elapsed = time.perf_counter() - t0
+    execution = ExecutionResult(results=results, reports=reports)
     if metrics is not None:
-        if streaming:
-            metrics.gauge("engine.queue_depth").set(queue_depth_peak)
-        from repro.parallel.backends import backend_worker_count
-
+        metrics.gauge("engine.queue_depth").set(queue_depth_peak)
         workers = backend_worker_count(executor.backend)
         # Busy time counts every attempt (retries included): it is what
         # the workers actually did with the wall-clock they had.
-        busy = sum(
-            a.elapsed_s
-            for ex in executions
-            for r in ex.reports
-            for a in r.attempts
-        )
+        busy = sum(a.elapsed_s for r in reports for a in r.attempts)
         if elapsed > 0:
             metrics.gauge("engine.worker_utilization").set(
                 min(1.0, busy / (workers * elapsed))
             )
         finals = [
-            r.elapsed_s
-            for ex in executions
-            for r in ex.reports
-            if r.attempts and r.attempts[-1].ok
+            r.elapsed_s for r in reports if r.attempts and r.attempts[-1].ok
         ]
         if len(finals) >= 2:
             metrics.gauge("engine.straggler_gap_s").set(
@@ -626,6 +555,6 @@ def execute(
         sink_result=sink_result,
         stats=tuple(stats),
         skipped_ranks=skipped,
-        executions=tuple(executions),
+        execution=execution,
         elapsed_s=elapsed,
     )

@@ -1,44 +1,37 @@
-"""Ordering and batching rank tasks under a memory budget.
+"""Submission order and in-flight window for rank tasks.
 
-A scheduler turns a plan's task list into an ordered list of *batches*;
-the engine hands each batch to the
-:class:`~repro.runtime.RankExecutor` as one ``run()`` call.  Batch
-granularity is therefore the knob between the two historical driver
-shapes:
+The engine runs every plan through one completion-driven loop
+(:meth:`~repro.runtime.RankExecutor.run_iter` plus a reorder buffer that
+commits in ascending rank order).  A scheduler decides only two things
+about that loop:
 
-* one batch holding every task (``StaticScheduler()``) — the assembled
-  generator's shape: maximal backend parallelism, one
-  ``ExecutionResult`` covering the whole run;
-* one task per batch (``StaticScheduler(batch_size=1)``) — the streamed
-  generator's shape: the sink commits after every rank, and at most one
-  rank's results are held between commits;
-* budget-packed batches (``StaticScheduler(group_by_budget=True)``) —
-  consecutive tasks greedily grouped so a batch's *predicted* output
-  entries stay within ``memory_budget_entries`` (an oversized single
-  task forms its own batch and is tiled inside the kernel instead).
+* the **submission order** — :meth:`order` returns the tasks in the
+  order they are handed to workers;
+* the **in-flight window** — ``max_in_flight`` caps how many tasks run
+  at once; ``None`` lets the engine size it from the backend's worker
+  count (an elastic pool's *live* count).
 
-:class:`WorkQueueScheduler` is the completion-driven alternative: it
-declares ``streaming = True`` and, instead of batches with barriers,
-gives the engine a *submission order* (longest estimated task first —
-LPT) via :meth:`~WorkQueueScheduler.order`; tasks are then handed to
-whichever worker frees up, and the engine's reorder buffer restores
-ascending-rank commit order.  ``schedule()`` still works (singleton
-batches in LPT order) so the class satisfies the same protocol.
+Two orders ship:
 
-The interface is a single method, so a locality-aware scheduler
-plugs in without touching the engine loop: anything with
-``schedule(tasks, memory_budget_entries=...) -> [batch, ...]`` works,
-and anything additionally carrying ``streaming = True`` plus
-``order(tasks, memory_budget_entries=...)`` runs on the work-queue path.
-Determinism contract: *commits* happen in ascending rank order under
-every scheduler — sink commit order and manifest write order follow it
-regardless of execution order.
+* :class:`StaticScheduler` — ascending rank order (the default).  With
+  ``max_in_flight=1`` rank *k + 1* is not submitted before rank *k* has
+  committed, the streamed generator's commit-after-every-rank shape that
+  its ``crash_hook`` relies on;
+* :class:`WorkQueueScheduler` — longest estimated task first (LPT), so
+  one straggling rank no longer idles the rest of the pool.
+
+A locality-aware scheduler plugs in without touching the engine loop:
+anything with ``order(tasks, memory_budget_entries=...) -> [task, ...]``
+and a ``max_in_flight`` attribute works.  Determinism contract:
+*commits* happen in ascending rank order under every scheduler — sink
+commit order and manifest write order follow it regardless of execution
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.engine.plan import RankTask
 from repro.errors import GenerationError
@@ -48,8 +41,8 @@ def _require_unique_ranks(tasks: Sequence[RankTask]) -> None:
     """Reject task lists with duplicate ranks.
 
     A duplicate rank would make two tasks race for one shard filename
-    and one manifest slot — caught here, at scheduling time, for both
-    scheduler families.
+    and one manifest slot — caught here, at scheduling time, for every
+    scheduler.
     """
     seen = set()
     dupes = set()
@@ -64,87 +57,8 @@ def _require_unique_ranks(tasks: Sequence[RankTask]) -> None:
 
 
 @dataclass(frozen=True)
-class StaticScheduler:
-    """Deterministic rank-order batching (the default scheduler).
-
-    Exactly one of the two knobs may be set: ``batch_size`` fixes the
-    batch length; ``group_by_budget`` packs consecutive tasks by their
-    ``estimated_entries`` against the plan's budget.  With neither, all
-    tasks form one batch.
-    """
-
-    batch_size: Optional[int] = None
-    group_by_budget: bool = False
-
-    def __post_init__(self) -> None:
-        if self.batch_size is not None and self.batch_size < 1:
-            raise GenerationError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
-        if self.batch_size is not None and self.group_by_budget:
-            raise GenerationError(
-                "batch_size and group_by_budget are mutually exclusive"
-            )
-
-    def schedule(
-        self,
-        tasks: Sequence[RankTask],
-        *,
-        memory_budget_entries: Optional[int] = None,
-    ) -> List[Tuple[RankTask, ...]]:
-        _require_unique_ranks(tasks)
-        ordered = sorted(tasks, key=lambda t: t.rank)
-        if not ordered:
-            return []
-        if self.group_by_budget:
-            if memory_budget_entries is None:
-                raise GenerationError(
-                    "group_by_budget requires a memory_budget_entries"
-                )
-            return self._pack(ordered, memory_budget_entries)
-        if self.batch_size is None:
-            return [tuple(ordered)]
-        return [
-            tuple(ordered[i : i + self.batch_size])
-            for i in range(0, len(ordered), self.batch_size)
-        ]
-
-    @staticmethod
-    def _pack(
-        ordered: Sequence[RankTask], budget: int
-    ) -> List[Tuple[RankTask, ...]]:
-        batches: List[Tuple[RankTask, ...]] = []
-        current: List[RankTask] = []
-        load = 0
-        for task in ordered:
-            if current and load + task.estimated_entries > budget:
-                batches.append(tuple(current))
-                current, load = [], 0
-            current.append(task)
-            load += task.estimated_entries
-        if current:
-            batches.append(tuple(current))
-        return batches
-
-
-@dataclass(frozen=True)
-class WorkQueueScheduler:
-    """Completion-driven scheduling: LPT order, no barriers.
-
-    Tasks are submitted longest-estimated-first (LPT — the classic
-    greedy bound for minimizing makespan on identical machines, within
-    4/3 of optimal) and each is handed to whichever worker frees up
-    first, so one straggling rank no longer idles the rest of the pool.
-    Output stays byte-identical to :class:`StaticScheduler` because the
-    engine commits completions through a reorder buffer in ascending
-    rank order.
-
-    ``max_in_flight`` caps concurrent submissions; ``None`` lets the
-    engine size the window from the backend's worker count.
-    """
-
-    #: Marks this scheduler for the engine's completion-driven path.
-    streaming: ClassVar[bool] = True
+class _Scheduler:
+    """The shared window field and ordering; subclasses define ``_key``."""
 
     max_in_flight: Optional[int] = None
 
@@ -160,30 +74,37 @@ class WorkQueueScheduler:
         *,
         memory_budget_entries: Optional[int] = None,
     ) -> List[RankTask]:
-        """Submission order: estimated entries descending, rank ascending.
+        """Submission order.
 
-        ``memory_budget_entries`` is accepted for protocol symmetry with
-        ``schedule`` — backpressure against the budget is applied by the
-        engine (it knows what is buffered), not by the ordering.
+        ``memory_budget_entries`` is part of the protocol so a
+        budget-aware scheduler can use it; backpressure against the
+        budget is applied by the engine (it knows what is buffered), not
+        by the ordering.
         """
         _require_unique_ranks(tasks)
-        return sorted(tasks, key=lambda t: (-t.estimated_entries, t.rank))
+        return sorted(tasks, key=self._key)
 
-    def schedule(
-        self,
-        tasks: Sequence[RankTask],
-        *,
-        memory_budget_entries: Optional[int] = None,
-    ) -> List[Tuple[RankTask, ...]]:
-        """Protocol-compat view: singleton batches in submission order.
 
-        A driver that only understands batches still runs the right
-        order (just with a barrier per task); the engine itself uses
-        :meth:`order` and never calls this.
-        """
-        return [
-            (task,)
-            for task in self.order(
-                tasks, memory_budget_entries=memory_budget_entries
-            )
-        ]
+@dataclass(frozen=True)
+class StaticScheduler(_Scheduler):
+    """Deterministic ascending-rank submission (the default scheduler)."""
+
+    @staticmethod
+    def _key(task: RankTask):
+        return task.rank
+
+
+@dataclass(frozen=True)
+class WorkQueueScheduler(_Scheduler):
+    """Longest-estimated-first (LPT) submission.
+
+    LPT is the classic greedy bound for minimizing makespan on identical
+    machines (within 4/3 of optimal); each task goes to whichever worker
+    frees up first.  Ties break by rank.  Output stays byte-identical to
+    :class:`StaticScheduler` because the engine commits completions
+    through a reorder buffer in ascending rank order.
+    """
+
+    @staticmethod
+    def _key(task: RankTask):
+        return (-task.estimated_entries, task.rank)

@@ -294,8 +294,8 @@ class Sink:
     Lifecycle, driven by :func:`repro.engine.execute.execute`:
     ``open(plan)`` (returns ranks already complete, to skip) →
     ``consumer_factory(task)`` per task (pickled into the worker) →
-    ``commit(task, outcome)`` per completed task, ascending rank order
-    within each batch → ``finalize(plan, elapsed_s=..., skipped=...)``
+    ``commit(task, outcome)`` per completed task, in ascending rank
+    order → ``finalize(plan, elapsed_s=..., skipped=...)``
     on success, or ``abort(exc)`` on a fatal error before it re-raises.
 
     The public methods are a template: they enforce the lifecycle state
@@ -303,7 +303,7 @@ class Sink:
     ``_commit`` / ``_abort`` / ``_finalize`` hooks subclasses override.
     The enforced contract (what the conformance suite asserts):
 
-    * ``abort`` is **idempotent** — the streaming reorder-buffer path and
+    * ``abort`` is **idempotent** — the reorder-buffer loop and
       ``execute()``'s outer handler can both observe one failure, so a
       second (or later) ``abort`` is a no-op, as is ``abort`` after
       ``finalize`` or before ``open``;

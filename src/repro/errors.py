@@ -45,12 +45,11 @@ class KernelUnavailableError(GenerationError):
     """The requested generation kernel cannot run here (``"native"``
     without ``numba`` installed).
 
-    The gating mirrors :class:`TransportUnavailableError`: importing
-    :mod:`repro.kron._fast` is always safe, ``native_available()``
-    answers the capability question, and asking for the native kernel on
-    a bare interpreter raises this typed error instead of an
-    ``ImportError`` — ``kernel="auto"`` falls back to the pure-NumPy
-    oracle instead."""
+    Importing :mod:`repro.kron._fast` is always safe,
+    ``native_available()`` answers the capability question, and asking
+    for the native kernel on a bare interpreter raises this typed error
+    instead of an ``ImportError`` — ``kernel="auto"`` falls back to the
+    pure-NumPy oracle instead."""
 
 
 class RankExecutionError(GenerationError):
@@ -134,11 +133,6 @@ class TransportClosedError(TransportError):
 
 class TransportTimeoutError(TransportError):
     """A blocking transport receive exceeded its timeout."""
-
-
-class TransportUnavailableError(TransportError):
-    """The requested transport cannot run here (e.g. ``mpi`` without
-    ``mpi4py``, or outside an MPI launcher)."""
 
 
 class CheckpointError(ReproError):

@@ -12,8 +12,7 @@ Two kernels live here, each with a pure-Python body that is
   to the f-string oracle in :mod:`repro.engine.sinks`
   (``f"{r}\\t{c}\\t{v}\\n"``), including negative values.
 
-Gating mirrors :mod:`repro.net.mpi`: importing this module is always
-safe (``numba`` is only imported on first kernel use),
+Gating: importing this module is always safe (``numba`` is only imported on first kernel use),
 :func:`native_available` answers the capability question, and asking
 for ``kernel="native"`` on a bare interpreter raises
 :class:`~repro.errors.KernelUnavailableError` while ``"auto"`` falls

@@ -7,14 +7,14 @@ factored into three layers so each is testable alone:
 * :mod:`repro.net.codec` — the versioned, CRC32-checked frame format
   (pure bytes, no I/O);
 * :mod:`repro.net.transport` — how frames move:
-  :class:`InProcessTransport` (queues), :class:`SocketTransport` (TCP),
-  :class:`~repro.net.mpi.MPITransport` (gated on ``mpi4py``);
+  :class:`InProcessTransport` (queues), :class:`SocketTransport` (TCP);
 * :mod:`repro.net.sink` — the protocol: :class:`TransportSink`
   (producer, an ordinary engine sink) and :class:`TileCollector`
   (replays the stream into any inner sink, byte-identically to a local
   run).
 
-``generate_to_disk(..., transport="socket")`` and the CLI's
+``generate_to_disk(..., config=RunConfig(transport="socket"))`` and the
+CLI's
 ``--sink net --transport ...`` ride on :func:`execute_over_transport`.
 :class:`~repro.net.chaos.FaultyTransport` is the test adversary.
 """
@@ -41,7 +41,6 @@ from repro.net.codec import (
     encode_frame,
     encode_tile_payload,
 )
-from repro.net.mpi import MPI_FRAME_TAG, MPITransport, mpi_available
 from repro.net.sink import (
     TileCollector,
     TransportSink,
@@ -57,7 +56,6 @@ from repro.net.transport import (
     TileTransport,
     list_transports,
     local_pair,
-    transport_available,
 )
 
 __all__ = [
@@ -77,8 +75,6 @@ __all__ = [
     "HEADER_BYTES",
     "InProcessTransport",
     "MAX_FRAME_BYTES",
-    "MPI_FRAME_TAG",
-    "MPITransport",
     "SocketListener",
     "SocketTransport",
     "TileCollector",
@@ -96,6 +92,4 @@ __all__ = [
     "flip_bit",
     "list_transports",
     "local_pair",
-    "mpi_available",
-    "transport_available",
 ]

@@ -36,9 +36,9 @@ cannot be pickled into a worker — and coordinator-side sends are what
 keeps the frame stream in ascending-rank order under *any* scheduler.
 
 :func:`execute_over_transport` wires both halves together on one
-machine (collector on a thread, any ``--transport``); for a real MPI
-deployment run a :class:`TileCollector` on rank 0 and the engine with a
-:class:`TransportSink` on rank 1 (see :mod:`repro.net.mpi`).
+machine (collector on a thread, any ``--transport``); a multi-node
+deployment runs a :class:`TileCollector` on one node and the engine with
+a :class:`TransportSink` on another, over any :class:`TileTransport`.
 """
 
 from __future__ import annotations
@@ -486,8 +486,6 @@ def execute_over_transport(
     *,
     transport: "str | Tuple[TileTransport, TileTransport]" = "inproc",
     config=None,
-    backend=None,
-    scheduler=None,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
     events: "Optional[RankEvents]" = None,
@@ -504,8 +502,7 @@ def execute_over_transport(
     ``(producer, collector)`` endpoint pair.  ``config`` is the
     engine's :class:`~repro.engine.config.RunConfig` (backend,
     scheduler, kernel), forwarded to
-    :func:`~repro.engine.execute.execute` — the individual ``backend``
-    / ``scheduler`` keywords are its deprecated aliases.  The returned
+    :func:`~repro.engine.execute.execute`.  The returned
     :class:`~repro.engine.execute.EngineResult` carries the inner sink's
     result (via the RESULT frame), so callers see exactly what a local
     run would have produced.
@@ -530,8 +527,6 @@ def execute_over_transport(
             plan,
             net_sink,
             config=config,
-            backend=backend,
-            scheduler=scheduler,
             metrics=metrics,
             tracer=tracer,
             events=events,

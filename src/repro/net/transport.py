@@ -3,7 +3,7 @@
 A transport endpoint is anything satisfying :class:`TileTransport` —
 ``send_frame(bytes)`` / ``recv_frame(timeout=...)`` / ``close()`` over an
 ordered, reliable, bidirectional byte channel.  The protocol layer
-(:mod:`repro.net.sink`) never sees *how* frames move, so the three
+(:mod:`repro.net.sink`) never sees *how* frames move, so the two
 implementations are interchangeable:
 
 * :class:`InProcessTransport` — a pair of ``queue.Queue`` ends in one
@@ -12,9 +12,6 @@ implementations are interchangeable:
 * :class:`SocketTransport` — length-prefixed frames over a TCP
   connection (localhost by default).  Real serialization, real kernel
   buffering, runs in CI.
-* :class:`~repro.net.mpi.MPITransport` — ``mpi4py`` point-to-point
-  messages, imported lazily and gated so everything else works on
-  machines without MPI.
 
 :func:`local_pair` builds a connected (producer, collector) endpoint
 pair for single-machine runs — what ``generate_to_disk(transport=...)``
@@ -32,7 +29,6 @@ from repro.errors import (
     TransportClosedError,
     TransportError,
     TransportTimeoutError,
-    TransportUnavailableError,
 )
 from repro.net.codec import MAX_FRAME_BYTES
 
@@ -232,23 +228,12 @@ class SocketListener:
 
 # -- registry -----------------------------------------------------------------
 #: Registered transport names, in registration order.
-_TRANSPORTS = ("inproc", "socket", "mpi")
+_TRANSPORTS = ("inproc", "socket")
 
 
 def list_transports() -> List[str]:
     """Names accepted by ``--transport`` and :func:`local_pair`."""
     return list(_TRANSPORTS)
-
-
-def transport_available(name: str) -> bool:
-    """Whether ``name`` can actually run on this machine right now."""
-    if name in ("inproc", "socket"):
-        return True
-    if name == "mpi":
-        from repro.net.mpi import mpi_available
-
-        return mpi_available()
-    return False
 
 
 def local_pair(
@@ -257,9 +242,7 @@ def local_pair(
     """A connected (producer, collector) endpoint pair on this machine.
 
     ``inproc`` is a queue pair; ``socket`` is a real localhost TCP
-    connection (ephemeral port).  ``mpi`` cannot form a single-process
-    pair — both sides must be launched under ``mpiexec`` — so it raises
-    :class:`~repro.errors.TransportUnavailableError` with that guidance.
+    connection (ephemeral port).
     """
     if name == "inproc":
         return InProcessTransport.pair()
@@ -271,12 +254,6 @@ def local_pair(
         finally:
             listener.close()
         return producer, collector
-    if name == "mpi":
-        raise TransportUnavailableError(
-            "the mpi transport spans processes; launch producer and "
-            "collector ranks under mpiexec and build MPITransport "
-            "endpoints directly instead of a local pair"
-        )
     raise TransportError(
         f"unknown transport {name!r}; choose from {list_transports()}"
     )
@@ -290,5 +267,4 @@ __all__ = [
     "TileTransport",
     "list_transports",
     "local_pair",
-    "transport_available",
 ]

@@ -13,16 +13,14 @@ bit-identical to running the ranks in a plain loop.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.config import _UNSET, RunConfig, resolve_run_config
+from repro.engine.config import RunConfig, resolve_run_config
 from repro.engine.execute import execute as engine_execute
 from repro.engine.plan import chain_fingerprint, plan_from_partition
-from repro.engine.scheduler import StaticScheduler
 from repro.engine.sinks import AssemblySink
 from repro.errors import GenerationError
 from repro.graphs.adjacency import Graph
@@ -94,11 +92,11 @@ class ParallelKroneckerGenerator:
         A fully custom :class:`~repro.runtime.RankExecutor`; overrides
         every executor-related argument above.
     scheduler:
-        How ranks are ordered and dispatched; ``None`` keeps the
-        historical single all-rank batch
+        How ranks are ordered and dispatched; ``None`` submits ranks in
+        order with a backend-sized window
         (:class:`~repro.engine.scheduler.StaticScheduler`), a
-        :class:`~repro.engine.scheduler.WorkQueueScheduler` streams
-        ranks to whichever worker frees up (output identical).
+        :class:`~repro.engine.scheduler.WorkQueueScheduler` submits the
+        longest first (output identical).
     kernel:
         Generation kernel request (``"auto"``/``"numpy"``/``"native"``),
         recorded on the plan; ``execute`` resolves ``"auto"`` once per
@@ -150,8 +148,8 @@ class ParallelKroneckerGenerator:
         run is kept in :attr:`last_execution`.
 
         Work routes through :func:`repro.engine.execute.execute` with an
-        :class:`~repro.engine.sinks.AssemblySink` and a single all-rank
-        batch (this generator's historical shape); the cluster's
+        :class:`~repro.engine.sinks.AssemblySink`, as many ranks in
+        flight as the backend has workers; the cluster's
         ``memory_budget_entries`` doubles as the kernel tile budget, so a block
         larger than the budget is produced in bounded row-slices and the
         returned triples are byte-identical either way.
@@ -174,11 +172,11 @@ class ParallelKroneckerGenerator:
             plan,
             AssemblySink(),
             executor=self.executor,
-            config=RunConfig(scheduler=self.scheduler or StaticScheduler()),
+            config=RunConfig(scheduler=self.scheduler),
             metrics=self.metrics,
             failure_injector=self.failure_injector,
         )
-        self.last_execution = result.executions[0] if result.executions else None
+        self.last_execution = result.execution
         bp_rows = {a.rank: a.b_local.shape[0] for a in self.plan.assignments}
         bp_cols = {a.rank: a.b_local.shape[1] for a in self.plan.assignments}
         col_bases = {a.rank: a.col_base for a in self.plan.assignments}
@@ -263,27 +261,18 @@ def generate_design_parallel(
     n_ranks: int,
     *,
     config: RunConfig | None = None,
-    backend: BackendLike = None,
-    memory_budget_entries: int | None = None,
     max_retries: int = 0,
     rank_timeout_s: float | None = None,
     metrics: MetricsRegistry | None = None,
     events: RankEvents | None = None,
-    scheduler=None,
-    checkpoint_dir: "str | None" = None,
-    resume: bool | None = None,
-    memory_entries: int | None = None,
 ) -> Graph:
     """One-call helper: realize a :class:`~repro.design.PowerLawDesign`
     on ``n_ranks`` simulated ranks, removing the design self-loop.
 
-    ``config`` is the preferred way to shape the run
-    (:class:`~repro.engine.config.RunConfig`: backend, scheduler, memory
-    budget, checkpoint directory, resume, kernel — ``scramble_seed``
-    only together with ``checkpoint_dir``, since the in-memory path
-    returns the unrelabeled graph).  The individual keywords keep
-    working but are deprecated (warn once); ``memory_entries`` is the
-    older deprecated alias of ``memory_budget_entries``.
+    ``config`` (:class:`~repro.engine.config.RunConfig`) shapes the run:
+    backend, scheduler, memory budget, checkpoint directory, resume,
+    kernel — ``scramble_seed`` only together with ``checkpoint_dir``,
+    since the in-memory path returns the unrelabeled graph.
 
     With a checkpoint directory, generation runs through the crash-safe
     streamed pipeline (:func:`~repro.parallel.stream.generate_to_disk`):
@@ -292,24 +281,8 @@ def generate_design_parallel(
     fingerprint, and regenerates only missing/invalid shards before
     assembling the graph from disk.
     """
-    if memory_entries is not None:
-        warnings.warn(
-            "memory_entries is deprecated; use memory_budget_entries",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        memory_budget_entries = memory_entries
     cfg = resolve_run_config(
-        "generate_design_parallel",
-        config,
-        unsupported=("transport", "model"),
-        backend=_UNSET if backend is None else backend,
-        scheduler=_UNSET if scheduler is None else scheduler,
-        memory_budget_entries=(
-            _UNSET if memory_budget_entries is None else memory_budget_entries
-        ),
-        checkpoint_dir=_UNSET if checkpoint_dir is None else checkpoint_dir,
-        resume=_UNSET if resume is None else resume,
+        "generate_design_parallel", config, unsupported=("transport", "model")
     )
     budget = (
         cfg.memory_budget_entries

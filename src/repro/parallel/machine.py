@@ -10,8 +10,7 @@ algorithm *has no communication to model*.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 from repro.errors import PartitionError
 
@@ -31,27 +30,13 @@ class VirtualCluster:
         int64 triples), a laptop-class budget.
     name:
         Optional label for reports.
-    memory_entries:
-        Deprecated keyword alias of ``memory_budget_entries``; accepted
-        (with a :class:`DeprecationWarning`) so pre-rename callers keep
-        working, and readable via the deprecated property of the same
-        name.
     """
 
     n_ranks: int
     memory_budget_entries: int = 50_000_000
     name: str = "virtual-cluster"
-    memory_entries: InitVar[int | None] = None
 
-    def __post_init__(self, memory_entries: int | None) -> None:
-        if memory_entries is not None:
-            warnings.warn(
-                "VirtualCluster(memory_entries=...) is deprecated; use "
-                "memory_budget_entries",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(self, "memory_budget_entries", memory_entries)
+    def __post_init__(self) -> None:
         if self.n_ranks < 1:
             raise PartitionError(f"need at least one rank, got {self.n_ranks}")
         if self.memory_budget_entries < 1:
@@ -71,17 +56,3 @@ class VirtualCluster:
             f"memory_budget_entries={self.memory_budget_entries:,})"
         )
 
-
-def _memory_entries(self: VirtualCluster) -> int:
-    warnings.warn(
-        "VirtualCluster.memory_entries is deprecated; read "
-        "memory_budget_entries",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return self.memory_budget_entries
-
-
-# Attached after class creation: a property in the class body would be
-# swallowed by the dataclass machinery as the InitVar's "default".
-VirtualCluster.memory_entries = property(_memory_entries)

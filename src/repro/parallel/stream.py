@@ -5,8 +5,8 @@ block to its own file and downstream systems consume the files.  This
 module reproduces that pipeline end to end on one machine — since the
 engine refactor it is a thin adapter: :func:`generate_to_disk` is
 :func:`repro.engine.execute.execute` over a
-:class:`~repro.engine.sinks.ShardSink` with one-rank batches, and
-:func:`streamed_degree_distribution` the same over a
+:class:`~repro.engine.sinks.ShardSink` with a one-rank in-flight window,
+and :func:`streamed_degree_distribution` the same over a
 :class:`~repro.engine.sinks.DegreeSink`.  Memory now obeys the budget
 *within* a rank too: blocks larger than ``memory_budget_entries`` are
 produced in bounded row-slice tiles (:func:`repro.kron.kron_tiles`) and
@@ -16,10 +16,10 @@ identical to whole-block writes.
 * :func:`generate_to_disk` — iterate ranks, form ``Ap = Bp ⊗ C``, write
   it atomically (temp file → fsync → rename) with a SHA-256 checksum,
   commit it to the run manifest, drop it;
-* **resume** — ``generate_to_disk(..., resume=True)`` re-derives the
-  plan, verifies the design fingerprint against the existing
-  ``manifest.json``, validates surviving shards against their recorded
-  checksums (quarantining corrupt ones as ``*.corrupt``), and
+* **resume** — ``generate_to_disk(..., config=RunConfig(resume=True))``
+  re-derives the plan, verifies the design fingerprint against the
+  existing ``manifest.json``, validates surviving shards against their
+  recorded checksums (quarantining corrupt ones as ``*.corrupt``), and
   regenerates only the missing/invalid ranks through the
   :class:`~repro.runtime.RankExecutor` retry path;
 * :func:`verify_shards` — recompute every shard checksum and cross-check
@@ -36,7 +36,6 @@ the durability tests assert.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -45,7 +44,7 @@ import numpy as np
 
 from repro.design.distribution import DegreeDistribution
 from repro.design.star_design import PowerLawDesign
-from repro.engine.config import _UNSET, RunConfig, resolve_run_config
+from repro.engine.config import RunConfig, resolve_run_config
 from repro.engine.execute import execute as engine_execute
 from repro.engine.plan import plan_from_design, plan_from_model
 from repro.engine.scheduler import StaticScheduler
@@ -57,7 +56,6 @@ from repro.engine.sinks import (  # noqa: F401  (re-exported, historical home)
 )
 from repro.errors import IOFormatError, ManifestError
 from repro.models import resolve_model
-from repro.parallel.backends import BackendLike
 from repro.runtime.checkpoint import (
     STATUS_COMPLETE,
     RunManifest,
@@ -69,40 +67,18 @@ from repro.runtime.tracing import Tracer
 from repro.validate.degree_check import DegreeCheck, check_degree_distribution
 
 
-def _resolve_memory_alias(
-    memory_budget_entries: int, memory_entries: int | None
-) -> int:
-    """The shared ``memory_entries`` → ``memory_budget_entries``
-    deprecation shim (same contract as ``generate_design_parallel``)."""
-    if memory_entries is not None:
-        warnings.warn(
-            "memory_entries is deprecated; use memory_budget_entries",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return memory_entries
-    return memory_budget_entries
-
-
 def generate_to_disk(
     design: PowerLawDesign,
     n_ranks: int,
     directory: str | Path,
     *,
     config: RunConfig | None = None,
-    memory_budget_entries: int | None = None,
     prefix: str = "edges",
-    scramble_seed: int | None = None,
-    resume: bool | None = None,
-    backend: BackendLike = None,
-    scheduler=None,
     max_retries: int = 0,
     failure_injector: Callable[[int, int], None] | None = None,
     crash_hook: Callable[[int, int], None] | None = None,
     metrics: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
-    transport: str | None = None,
-    memory_entries: int | None = None,
 ) -> StreamSummary:
     """Generate ``design`` rank by rank, writing per-rank TSV shards
     crash-safely.
@@ -115,15 +91,12 @@ def generate_to_disk(
     starts — killing the process at any instant leaves a valid partial
     checkpoint.
 
-    Parameters beyond the original signature:
+    ``config`` (:class:`~repro.engine.config.RunConfig`) carries the
+    run-shaping choices; every field but ``checkpoint_dir`` (the
+    directory is positional here) is honoured:
 
-    ``config``
-        A :class:`~repro.engine.config.RunConfig` carrying the
-        run-shaping choices (backend, scheduler, memory budget,
-        transport, resume, scramble seed, kernel) in one object — the
-        preferred spelling.  The individual keywords below keep working
-        but are deprecated (they warn once per process), and mixing them
-        with ``config=`` raises.
+    ``memory_budget_entries``
+        Per-tile budget in stored entries (default 50M).
     ``scramble_seed``
         Apply the Graph500-style affine vertex scramble to the written
         labels (degree/triangle statistics are label-invariant, so
@@ -133,21 +106,18 @@ def generate_to_disk(
         Load an existing manifest, verify its design fingerprint,
         checksum-validate surviving shards (quarantining corrupt ones to
         ``*.corrupt``), and regenerate only missing/invalid ranks.
-    ``backend`` / ``max_retries`` / ``failure_injector``
+    ``backend``
         Per-rank work runs through a
-        :class:`~repro.runtime.RankExecutor`, so transient failures
-        retry with backoff exactly as in ``generate_design_parallel``.
+        :class:`~repro.runtime.RankExecutor` on this backend, so
+        transient failures retry with backoff (``max_retries``,
+        ``failure_injector``) exactly as in ``generate_design_parallel``.
     ``scheduler``
-        ``None`` (the default) commits rank by rank with a barrier
-        between ranks (``StaticScheduler(batch_size=1)``); pass a
-        :class:`~repro.engine.scheduler.WorkQueueScheduler` to run
-        completion-driven — ranks overlap on the backend's workers and
-        the engine's reorder buffer keeps shard bytes and manifest
-        byte-identical to the static order.
-    ``crash_hook``
-        ``hook(rank, completed_count)`` invoked after each rank is
-        durably committed — :class:`~repro.runtime.CrashInjector` raises
-        from here to simulate a mid-run death in tests.
+        ``None`` (the default) submits ranks in order one at a time
+        (``StaticScheduler(max_in_flight=1)``), so each rank commits
+        before the next starts; pass a wider window or a
+        :class:`~repro.engine.scheduler.WorkQueueScheduler` to overlap
+        ranks on the backend's workers — the engine's reorder buffer
+        keeps shard bytes and manifest byte-identical.
     ``transport``
         ``None`` (the default) writes shards directly.  A transport name
         (``"inproc"``, ``"socket"``) routes every tile through
@@ -157,16 +127,19 @@ def generate_to_disk(
         shards, ``manifest.json``, and resume state are byte-identical
         to the direct path — the single-machine rehearsal of the
         distributed collection deployment.
-    ``memory_entries``
-        Deprecated alias of ``memory_budget_entries`` (warns).
+    ``model``
+        The generator model: the default (``None`` or ``"kron"``)
+        streams the design exactly as always; ``"skg"`` /
+        ``"noisy-skg"`` (or a :class:`~repro.models.GeneratorModel`
+        instance) stream the stochastic Kronecker family matched to the
+        design's scale through the identical shard/manifest/resume
+        pipeline — the manifest fingerprint then carries the model id
+        and seed, so a resume against a different model or seed is
+        refused.
 
-    ``config.model`` selects the generator model: the default (``None``
-    or ``"kron"``) streams the design exactly as always; ``"skg"`` /
-    ``"noisy-skg"`` (or a :class:`~repro.models.GeneratorModel`
-    instance) stream the stochastic Kronecker family matched to the
-    design's scale through the identical shard/manifest/resume pipeline
-    — the manifest fingerprint then carries the model id and seed, so a
-    resume against a different model or seed is refused.
+    ``crash_hook(rank, completed_count)`` is invoked after each rank is
+    durably committed — :class:`~repro.runtime.CrashInjector` raises
+    from here to simulate a mid-run death in tests.
 
     Metrics: ``checkpoint.ranks_skipped`` (reused from checkpoint),
     ``checkpoint.ranks_regenerated``, ``checkpoint.shards_quarantined``,
@@ -174,21 +147,8 @@ def generate_to_disk(
     ``stream.edges_written``, and the engine's ``engine.tiles`` /
     ``engine.peak_tile_entries``.
     """
-    memory_budget_entries = _resolve_memory_alias(
-        memory_budget_entries, memory_entries
-    )
     cfg = resolve_run_config(
-        "generate_to_disk",
-        config,
-        unsupported=("checkpoint_dir",),
-        memory_budget_entries=(
-            _UNSET if memory_budget_entries is None else memory_budget_entries
-        ),
-        scramble_seed=_UNSET if scramble_seed is None else scramble_seed,
-        resume=_UNSET if resume is None else resume,
-        backend=_UNSET if backend is None else backend,
-        scheduler=_UNSET if scheduler is None else scheduler,
-        transport=_UNSET if transport is None else transport,
+        "generate_to_disk", config, unsupported=("checkpoint_dir",)
     )
     budget = (
         cfg.memory_budget_entries
@@ -215,11 +175,11 @@ def generate_to_disk(
     sink = ShardSink(
         directory, prefix=prefix, resume=cfg.resume, crash_hook=crash_hook
     )
-    # One-rank batches by default: the sink commits after every rank and
-    # at most one rank's results are held between commits.
+    # One rank in flight by default: the sink commits after every rank
+    # and at most one rank's results are held between commits.
     engine_config = RunConfig(
         backend=cfg.backend,
-        scheduler=cfg.scheduler or StaticScheduler(batch_size=1),
+        scheduler=cfg.scheduler or StaticScheduler(max_in_flight=1),
     )
     if cfg.transport is not None:
         from repro.net import execute_over_transport
@@ -378,28 +338,17 @@ def streamed_degree_distribution(
     n_ranks: int,
     *,
     config: RunConfig | None = None,
-    memory_budget_entries: int | None = None,
-    backend: BackendLike = None,
-    scheduler=None,
-    memory_entries: int | None = None,
 ) -> DegreeDistribution:
     """Measured degree distribution, one budget-sized tile at a time.
 
-    Prefer ``config=RunConfig(...)`` (backend, scheduler, memory budget,
-    kernel); the individual keywords are deprecated aliases.
+    ``config`` honours ``backend``, ``scheduler`` (default: one rank in
+    flight, like :func:`generate_to_disk`), ``memory_budget_entries``,
+    ``kernel``, and ``model``.
     """
-    memory_budget_entries = _resolve_memory_alias(
-        memory_budget_entries, memory_entries
-    )
     cfg = resolve_run_config(
         "streamed_degree_distribution",
         config,
         unsupported=("transport", "checkpoint_dir", "resume", "scramble_seed"),
-        memory_budget_entries=(
-            _UNSET if memory_budget_entries is None else memory_budget_entries
-        ),
-        backend=_UNSET if backend is None else backend,
-        scheduler=_UNSET if scheduler is None else scheduler,
     )
     budget = (
         cfg.memory_budget_entries
@@ -420,7 +369,7 @@ def streamed_degree_distribution(
         DegreeSink(),
         config=RunConfig(
             backend=cfg.backend,
-            scheduler=cfg.scheduler or StaticScheduler(batch_size=1),
+            scheduler=cfg.scheduler or StaticScheduler(max_in_flight=1),
         ),
     )
     return result.sink_result.distribution()
@@ -431,12 +380,8 @@ def validate_streamed(
     n_ranks: int,
     *,
     memory_budget_entries: int = 50_000_000,
-    memory_entries: int | None = None,
 ) -> DegreeCheck:
     """The Fig.-4 measured==predicted degree check, out of core."""
-    memory_budget_entries = _resolve_memory_alias(
-        memory_budget_entries, memory_entries
-    )
     measured = streamed_degree_distribution(
         design,
         n_ranks,

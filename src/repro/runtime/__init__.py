@@ -10,8 +10,8 @@ is the execution/observability layer the rest of the system plugs into:
   sink (in-memory ring buffer by default);
 * :mod:`repro.runtime.executor` — :class:`RankExecutor`: per-rank
   timeout, bounded retry with exponential backoff + jitter, transient vs
-  fatal failure classification, straggler detection; both batch
-  (``run``) and completion-streaming (``run_iter``) surfaces;
+  fatal failure classification, straggler detection, all on the one
+  completion-streaming surface ``run_iter``;
 * :mod:`repro.runtime.events` — progress callbacks the CLI consumes for
   live per-rank output;
 * :mod:`repro.runtime.elastic` — :class:`ElasticWorkerPool`: a streaming

@@ -84,7 +84,7 @@ DEFAULT_POLL_INTERVAL_S = 0.005
 DEFAULT_STALL_TIMEOUT_S = 30.0
 
 #: Internal reassignment cap for :meth:`ElasticWorkerPool.map` (the
-#: streaming path's cap lives on :class:`~repro.runtime.RankExecutor`).
+#: engine's cap lives on :class:`~repro.runtime.RankExecutor`).
 DEFAULT_MAP_REASSIGNMENTS = 16
 
 #: ``scale_policy(stats) -> target worker count | None`` (None = no change).
@@ -402,8 +402,9 @@ class ElasticWorkerPool:
     @property
     def max_workers(self) -> int:
         """Current eligible-member count (lets
-        :func:`~repro.parallel.backends.backend_worker_count` size
-        batches for the pool like for any other backend)."""
+        :func:`~repro.parallel.backends.backend_worker_count` size the
+        engine's in-flight window for the pool like for any other
+        backend)."""
         return self.worker_count()
 
     def stats(self) -> PoolStats:
@@ -661,8 +662,8 @@ class ElasticWorkerPool:
     def map(self, fn: Callable, items: Sequence) -> List:
         """Order-preserving map with transparent reassignment: tasks
         whose worker vanished are resubmitted (bounded by
-        ``DEFAULT_MAP_REASSIGNMENTS``) so the batch execution path works
-        under churn without executor involvement."""
+        ``DEFAULT_MAP_REASSIGNMENTS``) so ``map`` works under churn
+        without executor involvement."""
         items = list(items)
         results: List = [None] * len(items)
         remaining: Dict[WorkHandle, int] = {}

@@ -15,18 +15,17 @@ rank is an independently retryable, measurable unit of work.
   ``rank_timeout_s`` is *classified* as a
   :class:`~repro.errors.RankTimeoutError` (its result is discarded and
   the rank is retried);
-* **straggler detection** — ranks slower than
-  ``straggler_factor`` × the median successful time are reported;
+* **straggler detection** — a rank slower than ``straggler_factor`` ×
+  the running median of earlier successes is reported as it completes;
 * **observability** — per-rank durations land in a
   :class:`~repro.runtime.metrics.MetricsRegistry`, spans in a
   :class:`~repro.runtime.tracing.Tracer`, and live progress in a
   :class:`~repro.runtime.events.RankEvents` bag.
 
-Two execution surfaces share all of the above: :meth:`RankExecutor.run`
-(batch-synchronous ``Backend.map`` rounds) and
-:meth:`RankExecutor.run_iter` (completion-driven streaming over
-``submit``/``as_completed``, yielding :class:`TaskCompletion` objects as
-results land — the engine's work-queue path).
+The one execution surface is :meth:`RankExecutor.run_iter`:
+completion-driven streaming over ``submit``/``as_completed``, yielding
+a :class:`TaskCompletion` as each result lands — the loop every engine
+run goes through.
 
 Clock, sleep, and RNG are injectable, so retry/backoff behaviour is unit
 tested with a deterministic fake clock and zero real sleeping.
@@ -300,8 +299,9 @@ class RankExecutor:
     rank_timeout_s:
         Cooperative per-rank timeout; ``None`` disables it.
     straggler_factor:
-        Ranks slower than this multiple of the median successful elapsed
-        are flagged (and reported via ``events.on_straggler``).
+        A rank slower than this multiple of the running median of
+        earlier successes is flagged (and reported via
+        ``events.on_straggler``).
     backoff_base_s / backoff_cap_s / jitter:
         Retry delay is ``min(cap, base * 2**attempt) * (1 + jitter * U)``
         with ``U ~ Uniform[0, 1)`` from the injectable ``rng``.
@@ -388,108 +388,6 @@ class RankExecutor:
         return outcome
 
     # -- execution -----------------------------------------------------------
-    def run(
-        self,
-        fn: Callable,
-        items: Sequence,
-        *,
-        injector: Callable[[int, int], None] | None = None,
-    ) -> ExecutionResult:
-        """Run ``fn`` over ``items``, retrying transient failures.
-
-        Returns results in item order.  Raises
-        :class:`~repro.errors.FatalRankError` on a fatal failure and
-        :class:`~repro.errors.RetryExhaustedError` when a rank keeps
-        failing past its retry budget.
-        """
-        items = list(items)
-        n = len(items)
-        results: List = [None] * n
-        reports = [RankReport(rank=i) for i in range(n)]
-        if self.metrics is not None:
-            self.metrics.gauge("ranks.total").set(n)
-
-        def execute() -> None:
-            pending = list(range(n))
-            attempt = 0
-            while pending:
-                for i in pending:
-                    self.events.rank_start(i, attempt)
-                tasks = [
-                    _Task(
-                        index=i,
-                        fn=fn,
-                        item=items[i],
-                        attempt=attempt,
-                        clock=self._clock,
-                        injector=injector,
-                    )
-                    for i in pending
-                ]
-                outcomes = [self._classify(o) for o in self.backend.map(_guarded_call, tasks)]
-                retry_delay = 0.0
-                next_pending: List[int] = []
-                for outcome in outcomes:
-                    idx = outcome.index
-                    reports[idx].attempts.append(
-                        RankAttempt(
-                            attempt=attempt,
-                            ok=outcome.ok,
-                            elapsed_s=outcome.elapsed_s,
-                            error=outcome.error_text,
-                        )
-                    )
-                    if outcome.ok:
-                        results[idx] = outcome.value
-                        if self.metrics is not None:
-                            self.metrics.counter("ranks.completed").inc()
-                            self.metrics.histogram("rank.elapsed_s").observe(
-                                outcome.elapsed_s
-                            )
-                        self.events.rank_done(idx, outcome.elapsed_s, attempt)
-                        continue
-                    if outcome.error_kind == "fatal":
-                        if self.metrics is not None:
-                            self.metrics.counter("ranks.failed_fatal").inc()
-                        raise FatalRankError(
-                            f"rank {idx} failed fatally on attempt "
-                            f"{attempt + 1}: {outcome.error_text}"
-                        )
-                    if attempt >= self.max_retries:
-                        if self.metrics is not None:
-                            self.metrics.counter("ranks.failed_exhausted").inc()
-                        raise RetryExhaustedError(
-                            f"rank {idx} failed {attempt + 1} time(s), retry "
-                            f"budget {self.max_retries} exhausted: "
-                            f"{outcome.error_text}"
-                        )
-                    if self.metrics is not None:
-                        self.metrics.counter("ranks.retried").inc()
-                        if outcome.error_kind == "timeout":
-                            self.metrics.counter("ranks.timeout").inc()
-                    delay = self.backoff_delay(attempt)
-                    retry_delay = max(retry_delay, delay)
-                    error: TransientRankError = (
-                        RankTimeoutError(outcome.error_text)
-                        if outcome.error_kind == "timeout"
-                        else TransientRankError(outcome.error_text)
-                    )
-                    self.events.retry(idx, attempt, delay, error)
-                    next_pending.append(idx)
-                if next_pending:
-                    self._sleep(retry_delay)
-                pending = next_pending
-                attempt += 1
-
-        if self.tracer is not None:
-            with self.tracer.span("executor.run", ranks=n, backend=self.backend.name):
-                execute()
-        else:
-            execute()
-
-        self._flag_stragglers(reports)
-        return ExecutionResult(results=results, reports=reports)
-
     def run_iter(
         self,
         fn: Callable,
@@ -501,13 +399,13 @@ class RankExecutor:
     ) -> Iterator[TaskCompletion]:
         """Run ``fn`` over ``items``, yielding completions as they land.
 
-        The streaming counterpart of :meth:`run`: instead of mapping a
-        whole batch and barriering, tasks are submitted individually
-        (``max_in_flight`` at a time, default = the full item count) and
-        a :class:`TaskCompletion` is yielded the moment each succeeds —
-        in *completion* order, not item order.  Retry, backoff, timeout
-        classification, and metrics/events match :meth:`run` task for
-        task, with two streaming-specific differences:
+        Tasks are submitted individually (``max_in_flight`` at a time,
+        default = the full item count) and a :class:`TaskCompletion` is
+        yielded the moment each succeeds — in *completion* order, not
+        item order.  Raises :class:`~repro.errors.FatalRankError` on a
+        fatal failure and :class:`~repro.errors.RetryExhaustedError`
+        when a task keeps failing past its retry budget.  Two properties
+        follow from submitting tasks one at a time:
 
         * retries are per-task — one failing task delays only itself
           (the retry backoff sleep runs in the coordinator, so already
@@ -538,8 +436,7 @@ class RankExecutor:
         ``max_reassignments`` and counted in ``engine.reassigned_tasks``.
 
         Map-only backends are adapted via :func:`as_streaming` (they run
-        correctly but without overlap).  Raises exactly like
-        :meth:`run` on fatal or retry-exhausted failures.
+        correctly but without overlap).
         """
         items = list(items)
         n = len(items)
@@ -736,19 +633,3 @@ class RankExecutor:
             if run_span is not None:
                 run_span.end_s = self._clock()
                 self.tracer.sink.record(run_span)
-
-    def _flag_stragglers(self, reports: List[RankReport]) -> None:
-        """Flag ranks whose final elapsed exceeds k× the median."""
-        elapsed = [r.elapsed_s for r in reports if r.attempts and r.attempts[-1].ok]
-        if len(elapsed) < 2:
-            return
-        median = statistics.median(elapsed)
-        if median <= 0:
-            return
-        threshold = self.straggler_factor * median
-        for r in reports:
-            if r.attempts and r.attempts[-1].ok and r.elapsed_s > threshold:
-                r.straggler = True
-                if self.metrics is not None:
-                    self.metrics.counter("ranks.stragglers").inc()
-                self.events.straggler(r.rank, r.elapsed_s, median)

@@ -649,8 +649,8 @@ class TestChurnScheduleProperty:
     @classmethod
     def reference(cls):
         if not hasattr(cls, "_ref"):
-            cls._tmp = tempfile.TemporaryDirectory()
-            cls._ref = _read_dir(_static_reference(cls._tmp.name, n_ranks=6))
+            with tempfile.TemporaryDirectory() as tmp:
+                cls._ref = _read_dir(_static_reference(tmp, n_ranks=6))
         return cls._ref
 
     @settings(max_examples=12, deadline=None)
@@ -661,7 +661,7 @@ class TestChurnScheduleProperty:
         scheduler = (
             WorkQueueScheduler()
             if scheduler_name == "queue"
-            else StaticScheduler(batch_size=1)
+            else StaticScheduler(max_in_flight=1)
         )
         pool = make_pool(workers=2)
         # A schedule that revokes/removes everything with no replacement

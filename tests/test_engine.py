@@ -17,6 +17,7 @@ from repro.engine import (
     DegreeSink,
     GenerationPlan,
     RankTask,
+    RunConfig,
     StaticScheduler,
     execute,
     plan_from_chain,
@@ -87,41 +88,14 @@ class TestScheduler:
             for i, e in enumerate(entries)
         ]
 
-    def test_default_is_one_batch_in_rank_order(self):
-        tasks = self._tasks([5, 5, 5])
-        batches = StaticScheduler().schedule(list(reversed(tasks)))
-        assert batches == [tuple(tasks)]
+    def test_default_order_is_ascending_rank(self):
+        # Sizes that an LPT order would rearrange: static ignores them.
+        tasks = self._tasks([1, 9, 5])
+        assert StaticScheduler().order(list(reversed(tasks))) == tasks
 
-    def test_batch_size_partitions_evenly(self):
-        tasks = self._tasks([1] * 5)
-        batches = StaticScheduler(batch_size=2).schedule(tasks)
-        assert [len(b) for b in batches] == [2, 2, 1]
-
-    def test_group_by_budget_packs_consecutively(self):
-        tasks = self._tasks([30, 30, 50, 10])
-        batches = StaticScheduler(group_by_budget=True).schedule(
-            tasks, memory_budget_entries=60
-        )
-        assert [[t.rank for t in b] for b in batches] == [[0, 1], [2, 3]]
-
-    def test_oversized_task_gets_its_own_batch(self):
-        tasks = self._tasks([100, 10])
-        batches = StaticScheduler(group_by_budget=True).schedule(
-            tasks, memory_budget_entries=60
-        )
-        assert [[t.rank for t in b] for b in batches] == [[0], [1]]
-
-    def test_group_by_budget_requires_budget(self):
-        with pytest.raises(GenerationError):
-            StaticScheduler(group_by_budget=True).schedule(self._tasks([1]))
-
-    def test_invalid_batch_size_rejected(self):
-        with pytest.raises(GenerationError):
-            StaticScheduler(batch_size=0)
-
-    def test_knobs_mutually_exclusive(self):
-        with pytest.raises(GenerationError):
-            StaticScheduler(batch_size=2, group_by_budget=True)
+    def test_invalid_max_in_flight_rejected(self):
+        with pytest.raises(GenerationError, match="max_in_flight"):
+            StaticScheduler(max_in_flight=0)
 
 
 class TestPartitionEdgeCases:
@@ -159,7 +133,9 @@ class TestBoundedMemoryExecution:
             [star_adjacency(3), star_adjacency(4), star_adjacency(5)]
         )
         budget = 150
-        plan = plan_from_chain(chain, VirtualCluster(1, memory_entries=budget))
+        plan = plan_from_chain(
+            chain, VirtualCluster(1, memory_budget_entries=budget)
+        )
         assert plan.max_task_entries > budget
         metrics = MetricsRegistry()
         result = execute(plan, AssemblySink(), metrics=metrics)
@@ -200,15 +176,16 @@ class TestBoundedMemoryExecution:
         default_dir = tmp_path / "default"
         tiny_dir = tmp_path / "tiny"
         metrics = MetricsRegistry()
-        generate_to_disk(design, 5, default_dir, scramble_seed=11)
+        generate_to_disk(
+            design, 5, default_dir, config=RunConfig(scramble_seed=11)
+        )
         # 63 is the smallest budget at which both split halves fit for
         # this design's factor nnzs [7, 9, 11].
         summary = generate_to_disk(
             design,
             5,
             tiny_dir,
-            memory_budget_entries=63,
-            scramble_seed=11,
+            config=RunConfig(memory_budget_entries=63, scramble_seed=11),
             metrics=metrics,
         )
         assert metrics.snapshot()["counters"]["engine.tiles"] > 5
@@ -221,7 +198,7 @@ class TestDegreeSink:
     def test_streamed_distribution_matches_prediction(self):
         design = PowerLawDesign([3, 4, 5], "center")
         measured = streamed_degree_distribution(
-            design, 3, memory_budget_entries=100
+            design, 3, config=RunConfig(memory_budget_entries=100)
         )
         assert measured == design.degree_distribution
 

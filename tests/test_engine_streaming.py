@@ -7,12 +7,14 @@ state are byte-identical to the static path.
 """
 
 import json
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.design import PowerLawDesign
-from repro.engine import WorkQueueScheduler
+from repro.engine import RunConfig, StaticScheduler, WorkQueueScheduler
 from repro.parallel import (
     ParallelKroneckerGenerator,
     ThreadBackend,
@@ -47,8 +49,10 @@ class TestRankOrderCommitDeterminism:
             design,
             6,
             queue_dir,
-            backend=ThreadBackend(max_workers=2),
-            scheduler=WorkQueueScheduler(),
+            config=RunConfig(
+                backend=ThreadBackend(max_workers=2),
+                scheduler=WorkQueueScheduler(),
+            ),
             failure_injector=FailureInjector([0], fail_attempts=1),
             max_retries=1,
         )
@@ -72,21 +76,48 @@ class TestRankOrderCommitDeterminism:
             design,
             8,
             tmp_path / "tight",
-            memory_budget_entries=63,
-            backend=ThreadBackend(max_workers=4),
-            scheduler=WorkQueueScheduler(),
+            config=RunConfig(
+                memory_budget_entries=63,
+                backend=ThreadBackend(max_workers=4),
+                scheduler=WorkQueueScheduler(),
+            ),
         )
         assert _read_shards(loose) == _read_shards(tight)
         assert _read_manifest(tmp_path / "loose") == _read_manifest(
             tmp_path / "tight"
         )
 
+    @pytest.mark.parametrize("max_in_flight", [1, 2, None])
+    def test_static_window_byte_identical_to_queue(self, tmp_path, max_in_flight):
+        design = PowerLawDesign([3, 4, 5], "center")
+        runs = {}
+        for label, scheduler in (
+            ("static", StaticScheduler(max_in_flight=max_in_flight)),
+            ("queue", WorkQueueScheduler()),
+        ):
+            backend = ThreadBackend(max_workers=4)
+            try:
+                runs[label] = generate_to_disk(
+                    design,
+                    6,
+                    tmp_path / label,
+                    config=RunConfig(backend=backend, scheduler=scheduler),
+                    failure_injector=FailureInjector([0], fail_attempts=1),
+                    max_retries=1,
+                )
+            finally:
+                backend.shutdown()
+        assert _read_shards(runs["static"]) == _read_shards(runs["queue"])
+        assert _read_manifest(tmp_path / "static") == _read_manifest(
+            tmp_path / "queue"
+        )
+
     def test_serial_backend_on_queue_path(self, tmp_path):
-        # The streaming branch must also hold on the reference backend.
+        # LPT submission must also hold on the reference backend.
         design = PowerLawDesign([3, 4], "leaf")
         static = generate_to_disk(design, 3, tmp_path / "a")
         queued = generate_to_disk(
-            design, 3, tmp_path / "b", scheduler=WorkQueueScheduler()
+            design, 3, tmp_path / "b", config=RunConfig(scheduler=WorkQueueScheduler())
         )
         assert _read_shards(static) == _read_shards(queued)
 
@@ -112,8 +143,10 @@ class TestQueueSchedulerAcrossSinks:
         dist = streamed_degree_distribution(
             design,
             6,
-            backend=ThreadBackend(max_workers=2),
-            scheduler=WorkQueueScheduler(),
+            config=RunConfig(
+                backend=ThreadBackend(max_workers=2),
+                scheduler=WorkQueueScheduler(),
+            ),
         )
         assert dist == design.degree_distribution
 
@@ -125,8 +158,10 @@ class TestStreamingMetrics:
             PowerLawDesign([3, 4, 5], "center"),
             6,
             tmp_path,
-            backend=ThreadBackend(max_workers=2),
-            scheduler=WorkQueueScheduler(),
+            config=RunConfig(
+                backend=ThreadBackend(max_workers=2),
+                scheduler=WorkQueueScheduler(),
+            ),
             metrics=metrics,
         )
         gauges = metrics.snapshot()["gauges"]
@@ -134,13 +169,14 @@ class TestStreamingMetrics:
         assert 0.0 < gauges["engine.worker_utilization"] <= 1.0
         assert gauges["engine.straggler_gap_s"] >= 0.0
 
-    def test_static_path_reports_utilization_but_no_queue_depth(self, tmp_path):
+    def test_static_path_reports_depth_and_utilization(self, tmp_path):
         metrics = MetricsRegistry()
         generate_to_disk(
             PowerLawDesign([3, 4], "center"), 3, tmp_path, metrics=metrics
         )
         gauges = metrics.snapshot()["gauges"]
-        assert gauges["engine.queue_depth"] == 0
+        # generate_to_disk's default window: one rank in flight.
+        assert gauges["engine.queue_depth"] == 1
         assert 0.0 < gauges["engine.worker_utilization"] <= 1.0
 
     def test_peak_tile_gauge_resets_between_runs(self, tmp_path):
@@ -170,6 +206,64 @@ class TestInjectorMapping:
                 PowerLawDesign([3, 4, 5], "center"),
                 6,
                 tmp_path,
-                scheduler=WorkQueueScheduler(),
+                config=RunConfig(scheduler=WorkQueueScheduler()),
                 failure_injector=FailureInjector([2], fatal=True),
             )
+
+
+class _StartCommitLog:
+    """Records worker starts (as the failure injector, inside the
+    worker) and durable commits (as the shard sink's crash hook)."""
+
+    def __init__(self, work_s: float) -> None:
+        self.work_s = work_s
+        self.events = []
+        self._lock = threading.Lock()
+
+    def __call__(self, rank, attempt):
+        with self._lock:
+            self.events.append(("start", rank))
+        time.sleep(self.work_s)
+
+    def commit(self, rank, completed):
+        with self._lock:
+            self.events.append(("commit", rank))
+
+
+class TestStaticWindow:
+    def _run(self, tmp_path, max_in_flight):
+        log = _StartCommitLog(work_s=0.05)
+        backend = ThreadBackend(max_workers=4)
+        try:
+            generate_to_disk(
+                PowerLawDesign([3, 4, 5], "center"),
+                6,
+                tmp_path,
+                config=RunConfig(
+                    backend=backend,
+                    scheduler=StaticScheduler(max_in_flight=max_in_flight),
+                ),
+                failure_injector=log,
+                crash_hook=log.commit,
+            )
+        finally:
+            backend.shutdown()
+        return log.events
+
+    def test_window_of_one_commits_each_rank_before_the_next_starts(
+        self, tmp_path
+    ):
+        events = self._run(tmp_path, max_in_flight=1)
+        expected = []
+        for rank in range(6):
+            expected += [("start", rank), ("commit", rank)]
+        assert events == expected
+
+    def test_backend_sized_window_overlaps_ranks(self, tmp_path):
+        # The contrast that shows the log can see overlap: with the
+        # window sized from four workers, rank 1 starts before rank 0
+        # commits.  Commits still land in rank order.
+        events = self._run(tmp_path, max_in_flight=None)
+        assert events.index(("start", 1)) < events.index(("commit", 0))
+        commits = [rank for kind, rank in events if kind == "commit"]
+        assert commits == list(range(6))

@@ -9,10 +9,13 @@ corresponding check reports it.
 
 from dataclasses import dataclass as _dataclass
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.design import DegreeDistribution, PowerLawDesign
+from repro.engine import RunConfig
 from repro.errors import FatalRankError, RetryExhaustedError
 from repro.graphs import Graph
 from repro.runtime import FailureInjector
@@ -168,7 +171,7 @@ class TestStreamedValidationCatches:
     def test_truncated_rank_file(self, tmp_path):
         summary = generate_to_disk(DESIGN, 4, tmp_path)
         victim = summary.files[2]
-        lines = open(victim).read().splitlines()
+        lines = Path(victim).read_text().splitlines()
         with open(victim, "w") as fh:
             fh.write("\n".join(lines[:-3]) + "\n")
         measured = read_streamed_degree_distribution(
@@ -297,7 +300,9 @@ class TestTransportChaos:
         from repro.runtime.checkpoint import RunManifest
 
         assert RunManifest.load(tmp_path).status in ("failed", "in_progress")
-        summary = generate_to_disk(DESIGN, self.N_RANKS, tmp_path, resume=True)
+        summary = generate_to_disk(
+            DESIGN, self.N_RANKS, tmp_path, config=RunConfig(resume=True)
+        )
         clean = tmp_path.parent / "clean"
         generate_to_disk(DESIGN, self.N_RANKS, clean)
         for rank in range(self.N_RANKS):
@@ -492,7 +497,6 @@ class _KillWorkerProcessOnce:
 
     def __call__(self, rank, attempt):
         import os
-        from pathlib import Path
 
         if rank == self.rank:
             flag = Path(self.flag_dir) / "killed"
@@ -521,7 +525,7 @@ class TestRevocationChaos:
         )
 
     def _reference(self, tmp_path):
-        from repro.engine import RunConfig, ShardSink, execute
+        from repro.engine import ShardSink, execute
 
         ref = tmp_path / "reference"
         execute(self._plan(), ShardSink(ref), config=RunConfig(backend="serial"))
@@ -529,8 +533,6 @@ class TestRevocationChaos:
 
     @staticmethod
     def _snapshot(directory):
-        from pathlib import Path
-
         return {
             p.name: p.read_bytes()
             for p in sorted(Path(directory).iterdir())

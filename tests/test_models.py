@@ -266,7 +266,7 @@ class TestSeedDeterminism:
             (plan_from_model(model, 4), WorkQueueScheduler()),
             (
                 plan_from_model(model, 4, memory_budget_entries=13),
-                StaticScheduler(batch_size=1),
+                StaticScheduler(max_in_flight=1),
             ),
         ]
         for i, (plan, scheduler) in enumerate(variants):

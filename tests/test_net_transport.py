@@ -2,9 +2,7 @@
 
 Endpoint semantics (order, timeout, close) are asserted per transport
 through the same parametrized suite, so ``inproc`` and ``socket`` are
-interchangeable by construction; the MPI transport is asserted to *gate*
-cleanly — a typed error without ``mpi4py``, a skip (not a failure) for
-the tests that need a real launcher.
+interchangeable by construction.
 
 The :class:`~repro.net.TileCollector` tests drive the protocol frame by
 frame over pre-filled inproc queues, proving each contract violation
@@ -26,7 +24,6 @@ from repro.errors import (
     TransportClosedError,
     TransportError,
     TransportTimeoutError,
-    TransportUnavailableError,
 )
 from repro.net import (
     FRAME_COMMIT,
@@ -39,8 +36,6 @@ from repro.net import (
     encode_frame,
     list_transports,
     local_pair,
-    mpi_available,
-    transport_available,
 )
 
 DESIGN = PowerLawDesign([3, 4, 5], "center")
@@ -152,45 +147,22 @@ class TestSocketSpecifics:
 
 class TestRegistry:
     def test_names(self):
-        assert list_transports() == ["inproc", "socket", "mpi"]
+        assert list_transports() == LOCAL_TRANSPORTS
 
     def test_local_transports_always_available(self):
-        assert transport_available("inproc")
-        assert transport_available("socket")
-
-    def test_mpi_availability_tracks_mpi4py(self):
-        assert transport_available("mpi") == mpi_available()
+        # Every registered transport forms a working pair in-process.
+        for name in list_transports():
+            a, b = local_pair(name)
+            try:
+                a.send_frame(b"ping")
+                assert b.recv_frame(timeout=5.0) == b"ping"
+            finally:
+                a.close()
+                b.close()
 
     def test_unknown_name(self):
-        assert not transport_available("carrier-pigeon")
         with pytest.raises(TransportError, match="unknown transport"):
             local_pair("carrier-pigeon")
-
-    def test_mpi_cannot_form_a_local_pair(self):
-        with pytest.raises(TransportUnavailableError, match="mpiexec"):
-            local_pair("mpi")
-
-
-class TestMPIGating:
-    @pytest.mark.skipif(mpi_available(), reason="mpi4py is installed")
-    def test_constructing_without_mpi4py_is_typed_not_importerror(self):
-        from repro.net import MPITransport
-
-        with pytest.raises(TransportUnavailableError, match="mpi4py"):
-            MPITransport(peer=0)
-
-    def test_module_imports_without_mpi4py(self):
-        # The gate is at construction, never at import.
-        import repro.net.mpi  # noqa: F401
-
-    @pytest.mark.skipif(
-        not mpi_available(), reason="mpi4py not installed (expected in CI)"
-    )
-    def test_single_process_world_is_refused(self):
-        from repro.net import MPITransport
-
-        with pytest.raises(TransportUnavailableError, match="2 ranks"):
-            MPITransport(peer=0)
 
 
 # -- collector protocol enforcement -------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.design import PowerLawDesign
+from repro.engine import RunConfig
 from repro.errors import PartitionError
 from repro.graphs import star_adjacency
 from repro.kron import KroneckerChain
@@ -34,13 +35,13 @@ class TestVirtualCluster:
 
     def test_rejects_zero_memory(self):
         with pytest.raises(PartitionError):
-            VirtualCluster(2, memory_entries=0)
+            VirtualCluster(2, memory_budget_entries=0)
 
 
 class TestChooseSplit:
     def test_prefers_larger_b(self):
         chain = chain345()
-        k = choose_split(chain, VirtualCluster(2, memory_entries=10**6))
+        k = choose_split(chain, VirtualCluster(2, memory_budget_entries=10**6))
         # nnz: 6, 8, 10 -> prefix nnz 6, 48; both fit, so k=2 maximizes B.
         assert k == 2
 
@@ -49,7 +50,7 @@ class TestChooseSplit:
         # Budget 10 forbids nnz(B)=48, so k=1 (B=6, C=80)... but C must
         # also fit; with budget 10 C never fits -> error.
         with pytest.raises(PartitionError):
-            choose_split(chain, VirtualCluster(2, memory_entries=10))
+            choose_split(chain, VirtualCluster(2, memory_budget_entries=10))
 
     def test_requires_two_factors(self):
         with pytest.raises(PartitionError):
@@ -59,7 +60,7 @@ class TestChooseSplit:
         chain = chain345()
         # 500 ranks > any prefix nnz -> infeasible.
         with pytest.raises(PartitionError):
-            choose_split(chain, VirtualCluster(500, memory_entries=10**6))
+            choose_split(chain, VirtualCluster(500, memory_budget_entries=10**6))
 
 
 class TestPartitionTriples:
@@ -97,20 +98,20 @@ class TestPartitionTriples:
 
 class TestPartitionPlan:
     def test_plan_balance(self):
-        plan = partition_bc(chain345(), VirtualCluster(4, memory_entries=10**6))
+        plan = partition_bc(chain345(), VirtualCluster(4, memory_budget_entries=10**6))
         lo, hi = plan.balance()
         assert hi - lo <= 1
 
     def test_explicit_split_index(self):
         plan = partition_bc(
-            chain345(), VirtualCluster(2, memory_entries=10**6), split_index=1
+            chain345(), VirtualCluster(2, memory_budget_entries=10**6), split_index=1
         )
         assert plan.split_index == 1
         assert plan.b_chain.num_factors == 1
 
     def test_explicit_split_over_budget_rejected(self):
         with pytest.raises(PartitionError):
-            partition_bc(chain345(), VirtualCluster(2, memory_entries=20), split_index=2)
+            partition_bc(chain345(), VirtualCluster(2, memory_budget_entries=20), split_index=2)
 
 
 class TestGenerator:
@@ -178,13 +179,9 @@ class TestGenerator:
 
     def test_helper_accepts_backend_name(self):
         design = PowerLawDesign([3, 4], "center")
-        g = generate_design_parallel(design, 3, backend="thread")
-        assert g == design.realize()
-
-    def test_helper_memory_entries_deprecated(self):
-        design = PowerLawDesign([3, 4], "center")
-        with pytest.warns(DeprecationWarning, match="memory_budget_entries"):
-            g = generate_design_parallel(design, 2, memory_entries=10**6)
+        g = generate_design_parallel(
+            design, 3, config=RunConfig(backend="thread")
+        )
         assert g == design.realize()
 
     def test_helper_memory_budget_entries_no_warning(self):
@@ -193,7 +190,9 @@ class TestGenerator:
         design = PowerLawDesign([3, 4], "center")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g = generate_design_parallel(design, 2, memory_budget_entries=10**6)
+            g = generate_design_parallel(
+                design, 2, config=RunConfig(memory_budget_entries=10**6)
+            )
         assert g == design.realize()
 
 

@@ -1,5 +1,7 @@
 """Unit tests for streaming (out-of-core) generation and validation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -73,7 +75,7 @@ class TestGenerateToDisk:
         design = PowerLawDesign([3, 2], "center")
         summary = generate_to_disk(design, 2, tmp_path)
         for path in summary.files:
-            for line in open(path):
+            for line in Path(path).read_text().splitlines():
                 r, c, _ = line.split("\t")
                 assert not (r == c == "0")
 

@@ -1,11 +1,10 @@
-"""RunConfig: the unified run-shaping API and its deprecation shims.
+"""RunConfig: the one run-shaping API.
 
 Contract under test (shared by every config-accepting driver):
 
 * ``RunConfig()`` reproduces each driver's historical behaviour;
-* individual run-shaping keywords keep working but warn once per
-  function per process;
-* mixing ``config=`` with an individual keyword raises;
+* ``config=`` is the only spelling: the individual run-shaping keywords
+  are gone, so passing one beside ``config=`` raises;
 * a config field the function cannot honour raises loudly instead of
   being silently ignored.
 """
@@ -16,11 +15,8 @@ import warnings
 import pytest
 
 from repro import PowerLawDesign, RunConfig, VirtualCluster
-from repro.engine.config import (
-    _UNSET,
-    _reset_warned,
-    resolve_run_config,
-)
+from repro.engine import DegreeSink, execute, plan_from_design
+from repro.engine.config import resolve_run_config
 from repro.errors import GenerationError
 from repro.parallel import generate_design_parallel, streamed_degree_distribution
 from repro.parallel.scaling import run_scaling_study
@@ -29,14 +25,6 @@ from repro.parallel.stream import generate_to_disk
 
 DESIGN = PowerLawDesign([3, 4, 5], "center")
 BUDGET = 500
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_state():
-    """Each test sees the warn-once state as a fresh process would."""
-    _reset_warned()
-    yield
-    _reset_warned()
 
 
 class TestRunConfigDataclass:
@@ -76,27 +64,13 @@ class TestResolveRunConfig:
         cfg = RunConfig(memory_budget_entries=BUDGET)
         assert resolve_run_config("f", cfg) is cfg
 
-    def test_legacy_kwargs_fold_and_warn_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = resolve_run_config("f", None, backend="thread")
-            second = resolve_run_config("f", None, backend="thread")
-            resolve_run_config("g", None, backend="thread")
-        assert first.backend == "thread" == second.backend
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        # Once for "f" (not twice), once for "g".
-        assert len(deprecations) == 2
-        assert "config=RunConfig(...)" in str(deprecations[0].message)
-
     def test_no_kwargs_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert resolve_run_config("f", None) == RunConfig()
 
     def test_mixing_raises(self):
-        with pytest.raises(GenerationError, match="not both"):
+        with pytest.raises(TypeError, match="backend"):
             resolve_run_config("f", RunConfig(), backend="thread")
 
     def test_non_runconfig_rejected(self):
@@ -108,40 +82,8 @@ class TestResolveRunConfig:
         with pytest.raises(GenerationError, match=r"\['resume'\]"):
             resolve_run_config("f", cfg, unsupported=("resume",))
 
-    def test_unset_sentinel_means_not_passed(self):
-        cfg = resolve_run_config("f", None, backend=_UNSET, scheduler=_UNSET)
-        assert cfg == RunConfig()
-
 
 class TestDriversHonourConfig:
-    def test_generate_design_parallel_config_equals_legacy(self):
-        via_config = generate_design_parallel(
-            DESIGN, 4, config=RunConfig(memory_budget_entries=BUDGET)
-        )
-        via_legacy = generate_design_parallel(
-            DESIGN, 4, memory_budget_entries=BUDGET
-        )
-        assert via_config.adjacency.equal(via_legacy.adjacency)
-
-    def test_generate_to_disk_config_equals_legacy(self, tmp_path):
-        generate_to_disk(
-            DESIGN,
-            2,
-            tmp_path / "a",
-            config=RunConfig(memory_budget_entries=BUDGET, scramble_seed=7),
-        )
-        generate_to_disk(
-            DESIGN,
-            2,
-            tmp_path / "b",
-            memory_budget_entries=BUDGET,
-            scramble_seed=7,
-        )
-        for rank in range(2):
-            assert (tmp_path / "a" / f"edges.{rank}.tsv").read_bytes() == (
-                tmp_path / "b" / f"edges.{rank}.tsv"
-            ).read_bytes()
-
     def test_streamed_degrees_config_path(self):
         dist = streamed_degree_distribution(
             DESIGN, 2, config=RunConfig(memory_budget_entries=BUDGET)
@@ -189,14 +131,29 @@ class TestDriversHonourConfig:
             )
 
     def test_drivers_reject_mixed_styles(self, tmp_path):
-        with pytest.raises(GenerationError, match="not both"):
-            generate_to_disk(
-                DESIGN,
-                2,
-                tmp_path,
-                config=RunConfig(),
-                memory_budget_entries=BUDGET,
-            )
+        plan = plan_from_design(DESIGN, 2)
+        calls = [
+            lambda: execute(plan, DegreeSink(), config=RunConfig(), backend="serial"),
+            lambda: generate_to_disk(
+                DESIGN, 2, tmp_path, config=RunConfig(), memory_budget_entries=BUDGET
+            ),
+            lambda: streamed_degree_distribution(
+                DESIGN, 2, config=RunConfig(), scheduler=None
+            ),
+            lambda: generate_design_parallel(
+                DESIGN, 2, config=RunConfig(), checkpoint_dir=str(tmp_path)
+            ),
+            lambda: run_scaling_study(
+                DESIGN.to_chain(), [1], config=RunConfig(), backend="serial"
+            ),
+            lambda: simulate_rate_curve(
+                DESIGN, [1], config=RunConfig(), max_block_entries=BUDGET
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                call()
+        assert not list(tmp_path.iterdir())
 
 
 class TestVirtualClusterMigration:
@@ -205,16 +162,6 @@ class TestVirtualClusterMigration:
             warnings.simplefilter("error")
             cluster = VirtualCluster(n_ranks=2, memory_budget_entries=BUDGET)
         assert cluster.memory_budget_entries == BUDGET
-
-    def test_old_init_keyword_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="memory_entries"):
-            cluster = VirtualCluster(2, memory_entries=BUDGET)
-        assert cluster.memory_budget_entries == BUDGET
-
-    def test_old_read_property_warns(self):
-        cluster = VirtualCluster(2, memory_budget_entries=BUDGET)
-        with pytest.warns(DeprecationWarning, match="memory_entries"):
-            assert cluster.memory_entries == BUDGET
 
     def test_repr_uses_new_name(self):
         assert "memory_budget_entries" in repr(VirtualCluster(2))

@@ -1,6 +1,8 @@
 """Unit tests for :class:`repro.runtime.RankExecutor`.
 
-All timing uses a deterministic fake clock; no test sleeps for real.
+Every case drives the one execution surface, ``run_iter``.  All timing
+uses a deterministic fake clock; no test sleeps for real (except the
+thread-overlap case, with tiny real sleeps).
 """
 
 import random
@@ -19,6 +21,7 @@ from repro.runtime import (
     RankEvents,
     RankExecutor,
 )
+from repro.runtime.executor import ExecutionResult
 from repro.runtime.tracing import ListSink, Tracer
 
 
@@ -49,10 +52,22 @@ def make_executor(clock=None, sleeps=None, **kwargs):
     return executor, clock, sleeps
 
 
+def run_all(executor, fn, items, **kwargs):
+    """Drive ``run_iter`` to the end and assemble an item-ordered
+    :class:`ExecutionResult`, the way the engine does."""
+    items = list(items)
+    results = [None] * len(items)
+    reports = [None] * len(items)
+    for done in executor.run_iter(fn, items, **kwargs):
+        results[done.index] = done.value
+        reports[done.index] = done.report
+    return ExecutionResult(results=results, reports=reports)
+
+
 class TestHappyPath:
     def test_results_in_item_order(self):
         executor, _, _ = make_executor()
-        result = executor.run(lambda x: x * 10, [1, 2, 3])
+        result = run_all(executor, lambda x: x * 10, [1, 2, 3])
         assert result.results == [10, 20, 30]
         assert result.total_retries == 0
         assert all(len(r.attempts) == 1 for r in result.reports)
@@ -64,12 +79,12 @@ class TestHappyPath:
             clock.advance(dt)
             return dt
 
-        result = executor.run(work, [0.5, 2.0])
+        result = run_all(executor, work, [0.5, 2.0])
         assert [r.elapsed_s for r in result.reports] == [0.5, 2.0]
 
     def test_empty_items(self):
         executor, _, _ = make_executor()
-        result = executor.run(lambda x: x, [])
+        result = run_all(executor, lambda x: x, [])
         assert result.results == [] and result.reports == []
 
 
@@ -77,7 +92,7 @@ class TestRetry:
     def test_transient_failure_retried_and_succeeds(self):
         executor, _, sleeps = make_executor(max_retries=2)
         injector = FailureInjector([1], fail_attempts=1)
-        result = executor.run(lambda x: x, ["a", "b", "c"], injector=injector)
+        result = run_all(executor, lambda x: x, ["a", "b", "c"], injector=injector)
         assert result.results == ["a", "b", "c"]
         assert result.reports[1].retries == 1
         assert not result.reports[1].attempts[0].ok
@@ -89,7 +104,7 @@ class TestRetry:
             max_retries=3, backoff_base_s=0.1, backoff_cap_s=10.0
         )
         injector = FailureInjector([0], fail_attempts=3)
-        executor.run(lambda x: x, [1], injector=injector)
+        run_all(executor, lambda x: x, [1], injector=injector)
         assert sleeps == pytest.approx([0.1, 0.2, 0.4])
 
     def test_backoff_respects_cap(self):
@@ -110,20 +125,20 @@ class TestRetry:
         executor, _, _ = make_executor(max_retries=2)
         injector = FailureInjector([0], fail_attempts=10)
         with pytest.raises(RetryExhaustedError, match="retry budget 2 exhausted"):
-            executor.run(lambda x: x, [1], injector=injector)
+            run_all(executor, lambda x: x, [1], injector=injector)
 
     def test_zero_retries_fails_fast(self):
         executor, _, sleeps = make_executor(max_retries=0)
         injector = FailureInjector([0])
         with pytest.raises(RetryExhaustedError):
-            executor.run(lambda x: x, [1], injector=injector)
+            run_all(executor, lambda x: x, [1], injector=injector)
         assert sleeps == []
 
     def test_fatal_error_aborts_immediately(self):
         executor, _, sleeps = make_executor(max_retries=5)
         injector = FailureInjector([1], fatal=True)
         with pytest.raises(FatalRankError, match="rank 1 failed fatally"):
-            executor.run(lambda x: x, [1, 2], injector=injector)
+            run_all(executor, lambda x: x, [1, 2], injector=injector)
         assert sleeps == []
 
     def test_arbitrary_exception_is_transient(self):
@@ -136,7 +151,7 @@ class TestRetry:
                 raise ValueError("boom")
             return x
 
-        result = executor.run(flaky, [7])
+        result = run_all(executor, flaky, [7])
         assert result.results == [7]
         assert "ValueError: boom" in result.reports[0].attempts[0].error
 
@@ -154,7 +169,7 @@ class TestTimeout:
             clock.advance(next(durations))
             return x
 
-        result = executor.run(work, ["ok"])
+        result = run_all(executor, work, ["ok"])
         assert result.results == ["ok"]
         first, second = result.reports[0].attempts
         assert not first.ok and "RankTimeoutError" in first.error
@@ -168,7 +183,7 @@ class TestTimeout:
             return x
 
         with pytest.raises(RetryExhaustedError):
-            executor.run(slow, [1])
+            run_all(executor, slow, [1])
 
     def test_no_timeout_by_default(self):
         executor, clock, _ = make_executor()
@@ -177,7 +192,7 @@ class TestTimeout:
             clock.advance(1e6)
             return x
 
-        assert executor.run(slow, [1]).results == [1]
+        assert run_all(executor, slow, [1]).results == [1]
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(TransientRankError):
@@ -192,7 +207,7 @@ class TestStragglers:
             clock.advance(dt)
             return dt
 
-        return executor.run(work, durations)
+        return run_all(executor, work, durations)
 
     def test_slow_rank_flagged(self):
         result = self._run_with_durations([1.0, 1.0, 1.0, 10.0], straggler_factor=3.0)
@@ -222,15 +237,15 @@ class TestObservability:
         )
         executor, _, _ = make_executor(max_retries=1, events=events)
         injector = FailureInjector([0], fail_attempts=1)
-        executor.run(lambda x: x, [1, 2], injector=injector)
-        # Outcomes are processed in rank order within a round, so rank
-        # 0's retry classification precedes rank 1's completion event.
+        run_all(executor, lambda x: x, [1, 2], injector=injector)
+        # Retries are per task: rank 0 is resubmitted the moment its
+        # failure is classified, before rank 1's completion is read.
         assert calls == [
             ("start", 0, 0),
             ("start", 1, 0),
             ("retry", 0, 0),
-            ("done", 1, 0),
             ("start", 0, 1),
+            ("done", 1, 0),
             ("done", 0, 1),
         ]
 
@@ -243,14 +258,14 @@ class TestObservability:
             clock.advance(dt)
             return dt
 
-        executor.run(work, [1.0, 1.0, 5.0])
+        run_all(executor, work, [1.0, 1.0, 5.0])
         assert seen == [(2, 5.0, 1.0)]
 
     def test_metrics_recorded(self):
         metrics = MetricsRegistry()
         executor, _, _ = make_executor(max_retries=1, metrics=metrics)
         injector = FailureInjector([0], fail_attempts=1)
-        executor.run(lambda x: x, [1, 2], injector=injector)
+        run_all(executor, lambda x: x, [1, 2], injector=injector)
         snap = metrics.snapshot()
         assert snap["counters"]["ranks.completed"] == 2
         assert snap["counters"]["ranks.retried"] == 1
@@ -260,15 +275,16 @@ class TestObservability:
     def test_tracer_span_wraps_run(self):
         sink = ListSink()
         executor, _, _ = make_executor(tracer=Tracer(sink, clock=FakeClock()))
-        executor.run(lambda x: x, [1])
-        (span,) = sink.spans
-        assert span.name == "executor.run"
+        run_all(executor, lambda x: x, [1])
+        (span,) = [s for s in sink.spans if s.name == "executor.run_iter"]
         assert span.attributes == {"ranks": 1, "backend": "serial"}
+        (task,) = [s for s in sink.spans if s.name == "executor.task"]
+        assert span.start_s <= task.start_s <= task.end_s <= span.end_s
 
     def test_execution_report_to_dict(self):
         executor, _, _ = make_executor(max_retries=1)
         injector = FailureInjector([0], fail_attempts=1)
-        result = executor.run(lambda x: x, [1], injector=injector)
+        result = run_all(executor, lambda x: x, [1], injector=injector)
         d = result.to_dict()
         assert d["total_retries"] == 1
         assert d["ranks"][0]["retries"] == 1

@@ -1,6 +1,7 @@
 """Unit tests for the runtime observability layer (metrics + tracing)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -83,7 +84,7 @@ class TestSnapshotRoundTrip:
         reg = MetricsRegistry()
         reg.counter("edges").inc(480)
         path = write_snapshot(tmp_path / "m.json", reg.snapshot())
-        loaded = json.load(open(path))
+        loaded = json.loads(Path(path).read_text())
         assert loaded["counters"]["edges"] == 480
 
     def test_reset_clears(self):

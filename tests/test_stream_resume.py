@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.design import PowerLawDesign
+from repro.engine import RunConfig
 from repro.errors import (
     FatalRankError,
     GenerationError,
@@ -36,6 +37,7 @@ from repro.runtime.checkpoint import STATUS_COMPLETE, STATUS_FAILED
 
 DESIGN = PowerLawDesign([3, 4, 5], "center")
 N_RANKS = 5
+RESUME = RunConfig(resume=True)
 
 
 def _dir_bytes(directory):
@@ -85,7 +87,7 @@ class TestResume:
             )
         metrics = MetricsRegistry()
         summary = generate_to_disk(
-            DESIGN, N_RANKS, crashed, resume=True, metrics=metrics
+            DESIGN, N_RANKS, crashed, config=RESUME, metrics=metrics
         )
         assert summary.skipped_ranks == 3
         counters = metrics.snapshot()["counters"]
@@ -97,13 +99,18 @@ class TestResume:
 
     def test_resume_with_scramble_is_byte_identical(self, tmp_path):
         clean, crashed = tmp_path / "clean", tmp_path / "crashed"
-        generate_to_disk(DESIGN, N_RANKS, clean, scramble_seed=11)
+        generate_to_disk(DESIGN, N_RANKS, clean, config=RunConfig(scramble_seed=11))
         with pytest.raises(SimulatedCrash):
             generate_to_disk(
                 DESIGN, N_RANKS, crashed,
-                scramble_seed=11, crash_hook=CrashInjector(1),
+                config=RunConfig(scramble_seed=11), crash_hook=CrashInjector(1),
             )
-        generate_to_disk(DESIGN, N_RANKS, crashed, scramble_seed=11, resume=True)
+        generate_to_disk(
+            DESIGN,
+            N_RANKS,
+            crashed,
+            config=RunConfig(scramble_seed=11, resume=True),
+        )
         assert _dir_bytes(clean) == _dir_bytes(crashed)
         assert verify_shards(crashed).passed
 
@@ -111,13 +118,13 @@ class TestResume:
         generate_to_disk(DESIGN, N_RANKS, tmp_path)
         metrics = MetricsRegistry()
         summary = generate_to_disk(
-            DESIGN, N_RANKS, tmp_path, resume=True, metrics=metrics
+            DESIGN, N_RANKS, tmp_path, config=RESUME, metrics=metrics
         )
         assert summary.skipped_ranks == N_RANKS
         assert metrics.snapshot()["counters"]["checkpoint.ranks_regenerated"] == 0
 
     def test_resume_without_manifest_is_fresh_run(self, tmp_path):
-        summary = generate_to_disk(DESIGN, N_RANKS, tmp_path, resume=True)
+        summary = generate_to_disk(DESIGN, N_RANKS, tmp_path, config=RESUME)
         assert summary.skipped_ranks == 0
         assert verify_shards(tmp_path).passed
 
@@ -128,18 +135,24 @@ class TestResume:
             )
         with pytest.raises(ResumeMismatchError):
             generate_to_disk(
-                PowerLawDesign([3, 4, 5], "leaf"), N_RANKS, tmp_path, resume=True
+                PowerLawDesign([3, 4, 5], "leaf"),
+                N_RANKS,
+                tmp_path,
+                config=RESUME,
             )
 
     def test_resume_wrong_seed_refused(self, tmp_path):
         with pytest.raises(SimulatedCrash):
             generate_to_disk(
                 DESIGN, N_RANKS, tmp_path,
-                scramble_seed=1, crash_hook=CrashInjector(1),
+                config=RunConfig(scramble_seed=1), crash_hook=CrashInjector(1),
             )
         with pytest.raises(ResumeMismatchError):
             generate_to_disk(
-                DESIGN, N_RANKS, tmp_path, scramble_seed=2, resume=True
+                DESIGN,
+                N_RANKS,
+                tmp_path,
+                config=RunConfig(scramble_seed=2, resume=True),
             )
 
     def test_resume_goes_through_retry_path(self, tmp_path):
@@ -150,7 +163,7 @@ class TestResume:
             )
         summary = generate_to_disk(
             DESIGN, N_RANKS, tmp_path,
-            resume=True,
+            config=RESUME,
             max_retries=1,
             failure_injector=FailureInjector([2, 4], fail_attempts=1),
         )
@@ -167,7 +180,7 @@ class TestResume:
         assert manifest.status == STATUS_FAILED
         assert manifest.completed_ranks() == [0, 1, 2]
         # A later resume with budget completes the run.
-        generate_to_disk(DESIGN, N_RANKS, tmp_path, resume=True)
+        generate_to_disk(DESIGN, N_RANKS, tmp_path, config=RESUME)
         assert verify_shards(tmp_path).passed
 
 
@@ -194,7 +207,7 @@ class TestCorruptionDetectionAndRepair:
         self._flip_one_byte(summary.files[2])
         metrics = MetricsRegistry()
         resumed = generate_to_disk(
-            DESIGN, N_RANKS, tmp_path, resume=True, metrics=metrics
+            DESIGN, N_RANKS, tmp_path, config=RESUME, metrics=metrics
         )
         counters = metrics.snapshot()["counters"]
         assert counters["checkpoint.shards_quarantined"] == 1
@@ -208,7 +221,7 @@ class TestCorruptionDetectionAndRepair:
         summary = generate_to_disk(DESIGN, N_RANKS, tmp_path)
         Path(summary.files[1]).unlink()
         assert verify_shards(tmp_path).bad_ranks == (1,)
-        generate_to_disk(DESIGN, N_RANKS, tmp_path, resume=True)
+        generate_to_disk(DESIGN, N_RANKS, tmp_path, config=RESUME)
         assert verify_shards(tmp_path).passed
 
 
@@ -267,7 +280,7 @@ class TestStreamSummaryContract:
             generate_to_disk(
                 DESIGN, N_RANKS, tmp_path, crash_hook=CrashInjector(3)
             )
-        summary = generate_to_disk(DESIGN, N_RANKS, tmp_path, resume=True)
+        summary = generate_to_disk(DESIGN, N_RANKS, tmp_path, config=RESUME)
         assert [Path(f).name for f in summary.files] == [
             f"edges.{r}.tsv" for r in range(N_RANKS)
         ]
@@ -275,36 +288,19 @@ class TestStreamSummaryContract:
     def test_scrambled_run_keeps_degree_distribution(self, tmp_path):
         from repro.parallel import read_streamed_degree_distribution
 
-        summary = generate_to_disk(DESIGN, 4, tmp_path, scramble_seed=3)
+        summary = generate_to_disk(
+            DESIGN, 4, tmp_path, config=RunConfig(scramble_seed=3)
+        )
         measured = read_streamed_degree_distribution(
             summary.files, DESIGN.num_vertices
         )
         assert measured == DESIGN.degree_distribution
 
 
-class TestDeprecationShims:
-    def test_generate_to_disk_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="memory_budget_entries"):
-            generate_to_disk(DESIGN, 2, tmp_path, memory_entries=10_000_000)
-
-    def test_streamed_degree_distribution_warns(self):
-        from repro.parallel import streamed_degree_distribution
-
-        with pytest.warns(DeprecationWarning, match="memory_budget_entries"):
-            streamed_degree_distribution(DESIGN, 2, memory_entries=10_000_000)
-
-    def test_validate_streamed_warns(self):
-        from repro.parallel import validate_streamed
-
-        with pytest.warns(DeprecationWarning, match="memory_budget_entries"):
-            check = validate_streamed(DESIGN, 2, memory_entries=10_000_000)
-        assert check.exact_match
-
-
 class TestGenerateDesignParallelCheckpoint:
     def test_checkpointed_graph_equals_direct_realization(self, tmp_path):
         graph = generate_design_parallel(
-            DESIGN, 4, checkpoint_dir=tmp_path / "ckpt"
+            DESIGN, 4, config=RunConfig(checkpoint_dir=tmp_path / "ckpt")
         )
         assert graph.adjacency.equal(DESIGN.realize().adjacency)
         assert RunManifest.load(tmp_path / "ckpt").status == STATUS_COMPLETE
@@ -314,10 +310,10 @@ class TestGenerateDesignParallelCheckpoint:
         with pytest.raises(SimulatedCrash):
             generate_to_disk(DESIGN, 4, ckpt, crash_hook=CrashInjector(2))
         graph = generate_design_parallel(
-            DESIGN, 4, checkpoint_dir=ckpt, resume=True
+            DESIGN, 4, config=RunConfig(checkpoint_dir=ckpt, resume=True)
         )
         assert graph.adjacency.equal(DESIGN.realize().adjacency)
 
     def test_resume_without_checkpoint_dir_rejected(self):
         with pytest.raises(GenerationError):
-            generate_design_parallel(DESIGN, 4, resume=True)
+            generate_design_parallel(DESIGN, 4, config=RESUME)

@@ -91,6 +91,7 @@ def smoke_interrupted_resume(root: Path) -> int:
     with an uninterrupted run plus a passing shard verification."""
     sys.path.insert(0, str(root / "src"))
     from repro.design import PowerLawDesign
+    from repro.engine import RunConfig
     from repro.parallel import generate_to_disk, verify_shards
     from repro.runtime import CrashInjector, SimulatedCrash
 
@@ -108,7 +109,9 @@ def smoke_interrupted_resume(root: Path) -> int:
         else:
             print("bench-smoke: crash hook did not fire", file=sys.stderr)
             return 1
-        summary = generate_to_disk(design, n_ranks, crashed, resume=True)
+        summary = generate_to_disk(
+            design, n_ranks, crashed, config=RunConfig(resume=True)
+        )
         if summary.skipped_ranks != 2:
             print(
                 f"bench-smoke: resume reused {summary.skipped_ranks} "
@@ -142,9 +145,9 @@ def smoke_tiled_budget(
     (a) real tiling happened, (b) byte-identity with the default run."""
     sys.path.insert(0, str(root / "src"))
     from repro.design import PowerLawDesign
-    from repro.runtime import MetricsRegistry
-
+    from repro.engine import RunConfig
     from repro.parallel import generate_to_disk
+    from repro.runtime import MetricsRegistry
 
     design = PowerLawDesign([3, 4, 5], "center")
     n_ranks = 5
@@ -160,7 +163,7 @@ def smoke_tiled_budget(
             design,
             n_ranks,
             tiny_dir,
-            memory_budget_entries=memory_budget,
+            config=RunConfig(memory_budget_entries=memory_budget),
             metrics=metrics,
         )
         snapshot = metrics.snapshot()
@@ -227,7 +230,7 @@ def smoke_straggler_queue(root: Path, artifact_dir: Path | None) -> int:
     static rank-by-rank path, with byte-identical output."""
     sys.path.insert(0, str(root / "src"))
     from repro.design import PowerLawDesign
-    from repro.engine import WorkQueueScheduler
+    from repro.engine import RunConfig, WorkQueueScheduler
     from repro.parallel import generate_to_disk
     from repro.parallel.backends import ThreadBackend
     from repro.runtime import MetricsRegistry
@@ -250,8 +253,7 @@ def smoke_straggler_queue(root: Path, artifact_dir: Path | None) -> int:
                 design,
                 n_ranks,
                 out,
-                backend=backend,
-                scheduler=scheduler,
+                config=RunConfig(backend=backend, scheduler=scheduler),
                 failure_injector=delay,
                 metrics=metrics,
             )
@@ -385,6 +387,7 @@ def smoke_socket_sink(root: Path, artifact_dir: Path | None) -> int:
     collected directory must be byte-for-byte the direct one."""
     sys.path.insert(0, str(root / "src"))
     from repro.design import PowerLawDesign
+    from repro.engine import RunConfig
     from repro.parallel import generate_to_disk, verify_shards
     from repro.runtime import MetricsRegistry
 
@@ -395,7 +398,11 @@ def smoke_socket_sink(root: Path, artifact_dir: Path | None) -> int:
         direct, collected = Path(tmp) / "direct", Path(tmp) / "collected"
         generate_to_disk(design, n_ranks, direct)
         generate_to_disk(
-            design, n_ranks, collected, transport="socket", metrics=metrics
+            design,
+            n_ranks,
+            collected,
+            config=RunConfig(transport="socket"),
+            metrics=metrics,
         )
         for name in [f"edges.{r}.tsv" for r in range(n_ranks)] + ["manifest.json"]:
             if (direct / name).read_bytes() != (collected / name).read_bytes():
