@@ -107,31 +107,6 @@ class _RankWork:
 
 
 @dataclass(frozen=True)
-class _RankMappedInjector:
-    """Adapts the executor's ``(item_index, attempt)`` callback to the
-    ``(rank, attempt)`` contract.
-
-    The mapping is explicit ``(index, rank)`` pairs — task identity, not
-    submission position — so an injected failure is never misattributed
-    when submission order ≠ rank order.  Frozen and
-    module-level so it pickles across the multiprocessing boundary (the
-    wrapped injector must be picklable itself, as before)."""
-
-    rank_by_index: Tuple[Tuple[int, int], ...]
-    injector: Callable[[int, int], None]
-
-    def __call__(self, index: int, attempt: int) -> None:
-        for idx, rank in self.rank_by_index:
-            if idx == index:
-                self.injector(rank, attempt)
-                return
-        raise GenerationError(
-            f"failure injector saw unknown task index {index}; known "
-            f"indices {[i for i, _ in self.rank_by_index]}"
-        )
-
-
-@dataclass(frozen=True)
 class TaskOutcome:
     """One rank's completed work, as returned by the worker."""
 
@@ -449,14 +424,6 @@ def execute(
         order = scheduler.order(
             pending, memory_budget_entries=plan.memory_budget_entries
         )
-        injector = (
-            None
-            if failure_injector is None
-            else _RankMappedInjector(
-                tuple((i, t.rank) for i, t in enumerate(order)),
-                failure_injector,
-            )
-        )
         # Commit pointer: item indices in ascending-rank order; the
         # reorder buffer drains along this sequence.
         commit_seq = sorted(range(len(order)), key=lambda i: order[i].rank)
@@ -486,7 +453,6 @@ def execute(
                 if elastic
                 else backend_worker_count(executor.backend)
             )
-        results: List[object] = [None] * len(order)
         reports: List[Optional[RankReport]] = [None] * len(order)
         span_cm = (
             tracer.span("engine.stream", ranks=len(order))
@@ -497,12 +463,12 @@ def execute(
             for done in executor.run_iter(
                 _run_rank_task,
                 [make_work(t) for t in order],
-                injector=injector,
+                ranks=[t.rank for t in order],
+                injector=failure_injector,
                 max_in_flight=max_in_flight,
                 submit_hook=submit_hook,
             ):
                 queue_depth_peak = max(queue_depth_peak, done.in_flight)
-                results[done.index] = done.value
                 reports[done.index] = done.report
                 buffered[done.index] = done.value
                 buffered_entries += order[done.index].estimated_entries
@@ -530,7 +496,7 @@ def execute(
             if metrics is not None:
                 metrics.gauge("engine.shm_leaked").set(len(leaked))
     elapsed = time.perf_counter() - t0
-    execution = ExecutionResult(results=results, reports=reports)
+    execution = ExecutionResult(reports=reports)
     if metrics is not None:
         metrics.gauge("engine.queue_depth").set(queue_depth_peak)
         workers = backend_worker_count(executor.backend)

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.design.distribution import DegreeDistribution
 from repro.errors import GenerationError, StorageError
+from repro.io.tsv import write_tsv_triples
 from repro.runtime.checkpoint import (
     STATUS_COMPLETE,
     STATUS_FAILED,
@@ -123,30 +124,7 @@ class StreamingDegreeAccumulator:
         )
 
 
-# -- serialization / writer seams ---------------------------------------------
-def _serialize_tile(
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
-) -> Tuple[bytes, int]:
-    """One tile as TSV bytes (the exact historical shard line format).
-
-    This f-string path is the serialization *oracle*: the native encoder
-    (:func:`repro.kron._fast.encode_tile_native`) must produce identical
-    bytes, and the kernel byte-identity tests compare against this."""
-    lines = [
-        f"{int(r)}\t{int(c)}\t{int(v)}\n" for r, c, v in zip(rows, cols, vals)
-    ]
-    return "".join(lines).encode("ascii"), len(lines)
-
-
-def _serialize_tile_native(
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
-) -> Tuple[bytes, int]:
-    """Compiled TSV encode — byte-identical to :func:`_serialize_tile`."""
-    from repro.kron._fast import encode_tile_native
-
-    return encode_tile_native(rows, cols, vals), len(rows)
-
-
+# -- writer seam ---------------------------------------------------------------
 def _open_shard_writer(path: Path) -> ShardWriter:
     """Open the incremental writer for one shard (monkeypatch seam for
     storage-failure tests)."""
@@ -192,20 +170,18 @@ class _BlockConsumerFactory:
 class ShardConsumer:
     """Stream a rank's tiles into an atomic on-disk shard.
 
-    Fatal storage errors (disk full, permission, read-only) reclassify
-    as :class:`~repro.errors.StorageError` so the executor aborts
-    instead of burning its retry budget on a full disk.
+    Tiles go through the one TSV encoder,
+    :func:`repro.io.tsv.write_tsv_triples`; the shard record's ``nnz``
+    is the sum of the line counts it returns.  Fatal storage errors
+    (disk full, permission, read-only) reclassify as
+    :class:`~repro.errors.StorageError` so the executor aborts instead
+    of burning its retry budget on a full disk.
     """
 
-    def __init__(
-        self, directory: str, filename: str, rank: int, kernel: str = "numpy"
-    ) -> None:
+    def __init__(self, directory: str, filename: str, rank: int) -> None:
         self.filename = filename
         self.rank = rank
         self._nnz = 0
-        self._serialize = (
-            _serialize_tile_native if kernel == "native" else _serialize_tile
-        )
         try:
             self._writer = _open_shard_writer(Path(directory) / filename)
         except OSError as exc:
@@ -214,14 +190,12 @@ class ShardConsumer:
             ) from exc
 
     def consume(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
-        data, count = self._serialize(rows, cols, vals)
         try:
-            self._writer.write(data)
+            self._nnz += write_tsv_triples(self._writer, rows, cols, vals)
         except OSError as exc:
             raise classify_storage_error(
                 exc, f"writing shard {self.filename}"
             ) from exc
-        self._nnz += count
 
     def result(self) -> ShardRecord:
         try:
@@ -247,12 +221,9 @@ class ShardConsumer:
 class _ShardConsumerFactory:
     directory: str
     prefix: str
-    kernel: str = "numpy"
 
     def __call__(self, rank: int) -> ShardConsumer:
-        return ShardConsumer(
-            self.directory, f"{self.prefix}.{rank}.tsv", rank, kernel=self.kernel
-        )
+        return ShardConsumer(self.directory, f"{self.prefix}.{rank}.tsv", rank)
 
 
 class DegreeConsumer:
@@ -455,7 +426,6 @@ class ShardSink(Sink):
         self._manifest: Optional[RunManifest] = None
         self._metrics: Optional[MetricsRegistry] = None
         self._completed = 0
-        self._kernel = "numpy"
         self.manifest_path: Optional[Path] = None
 
     # -- manifest plumbing ---------------------------------------------------
@@ -492,12 +462,6 @@ class ShardSink(Sink):
                 "ShardSink needs a plan with a fingerprint (the manifest "
                 "records it); build the plan with plan_from_design/chain"
             )
-        from repro.kron._fast import resolve_kernel
-
-        # Resolved once, coordinator-side, so every worker's consumer
-        # uses the same serializer (a strict "native" request fails
-        # here, before any shard is touched).
-        self._kernel = resolve_kernel(plan.kernel)
         self._metrics = metrics
         self.directory.mkdir(parents=True, exist_ok=True)
         if self.resume and RunManifest.exists(self.directory):
@@ -518,9 +482,7 @@ class ShardSink(Sink):
         return skipped
 
     def consumer_factory(self, task: "RankTask") -> _ShardConsumerFactory:
-        return _ShardConsumerFactory(
-            str(self.directory), self.prefix, kernel=self._kernel
-        )
+        return _ShardConsumerFactory(str(self.directory), self.prefix)
 
     def _commit(self, task: "RankTask", outcome: "TaskOutcome") -> None:
         record: ShardRecord = outcome.payload

@@ -56,6 +56,10 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _GOLDEN64 = np.uint64(_GOLDEN)
 
+#: Edges placed per pass of :meth:`StochasticKroneckerModel._generate`'s
+#: level loop, so its scratch arrays stay cache-resident for any tile.
+_GENERATE_CHUNK = 1 << 15
+
 
 def _mix64_scalar(x: int) -> int:
     """splitmix64's finalizer on a python int (no numpy overflow warns)."""
@@ -65,11 +69,15 @@ def _mix64_scalar(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64's finalizer, vectorized over uint64 (wrapping)."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+def _mix64(x: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """splitmix64's finalizer, vectorized over uint64 (wrapping), in place
+    on ``x`` (returned); ``scratch`` is an optional buffer shaped like it."""
+    t = np.empty_like(x) if scratch is None else scratch
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x ^= np.right_shift(x, np.uint64(shift), out=t)
+        x *= np.uint64(mult)
+    x ^= np.right_shift(x, np.uint64(31), out=t)
+    return x
 
 
 def stream_key(seed: int, level: int, salt: int = 0) -> int:
@@ -210,22 +218,54 @@ class StochasticKroneckerModel:
         a, b, c, _d = self.initiator
         return tuple((a, a + b, a + b + c) for _ in range(self.levels))
 
+    @cached_property
+    def _level_keys(self) -> Tuple[Tuple[np.uint64, ...], ...]:
+        """Per level: the counter key and the thresholds as sorted integers.
+
+        A draw is ``u = (z >> 11)·2^-53`` (:func:`counter_u01`), exact
+        because ``z >> 11 < 2^53``, so ``u >= t`` holds exactly when
+        ``z >> 11 >= ceil(t·2^53)``: the float compare, in integers.
+        The quadrant is the number of thresholds at or below the draw,
+        which does not depend on their order, and rounding can leave a
+        noisy level's cumulative thresholds out of order: so they are
+        sorted.
+        """
+        return tuple(
+            (np.uint64(stream_key(self.seed, level)),)
+            + tuple(np.uint64(max(0, math.ceil(t * 2.0**53))) for t in sorted(ts))
+            for level, ts in enumerate(self._thresholds)
+        )
+
     def _generate(
         self, lo: int, hi: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Place edges ``[lo, hi)`` — a pure function of the model."""
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        rows = np.zeros(hi - lo, dtype=np.int64)
-        cols = np.zeros(hi - lo, dtype=np.int64)
-        for level, (t1, t2, t3) in enumerate(self._thresholds):
-            u = counter_u01(self.seed, idx, level)
-            # Quadrant 0..3 maps (a, b, c, d) → (row bit, col bit).
-            q = (u >= t1).astype(np.int64)
-            q += u >= t2
-            q += u >= t3
-            rows = (rows << 1) | (q >> 1)
-            cols = (cols << 1) | (q & 1)
-        return rows, cols, np.ones(hi - lo, dtype=np.int64)
+        """Place edges ``[lo, hi)`` — a pure function of the model.
+
+        The level loop runs over chunks of ``_GENERATE_CHUNK`` edges, in
+        place on two chunk-sized buffers and on the chunk's slice of the
+        output.
+        """
+        n = hi - lo
+        rows = np.zeros(n, dtype=np.int64)
+        cols = np.zeros(n, dtype=np.int64)
+        draws = np.empty(min(n, _GENERATE_CHUNK), dtype=np.uint64)
+        scratch = np.empty_like(draws)
+        for start in range(0, n, _GENERATE_CHUNK):
+            stop = min(n, start + _GENERATE_CHUNK)
+            base = np.arange(lo + start, lo + stop, dtype=np.uint64) * _GOLDEN64
+            z, t = draws[: stop - start], scratch[: stop - start]
+            r, c = rows[start:stop], cols[start:stop]
+            for key, s1, s2, s3 in self._level_keys:
+                _mix64(np.add(base, key, out=z), t)
+                z >>= np.uint64(11)
+                # Quadrant q = #{s_i <= z} maps (a, b, c, d) → 0..3; its
+                # row bit is q >= 2, its column bit q's parity.
+                mid = z >= s2
+                r <<= 1
+                r |= mid
+                c <<= 1
+                c |= (z >= s1) ^ mid ^ (z >= s3)
+        return rows, cols, np.ones(n, dtype=np.int64)
 
     def tile_iter(
         self, work

@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.design.distribution import DegreeDistribution
 from repro.design.star_design import PowerLawDesign
 from repro.engine.config import RunConfig, resolve_run_config
@@ -54,7 +52,8 @@ from repro.engine.sinks import (  # noqa: F401  (re-exported, historical home)
     StreamingDegreeAccumulator,
     StreamSummary,
 )
-from repro.errors import IOFormatError, ManifestError
+from repro.errors import ManifestError
+from repro.io.tsv import READ_CHUNK_BYTES, iter_tsv_triples
 from repro.models import resolve_model
 from repro.runtime.checkpoint import (
     STATUS_COMPLETE,
@@ -390,51 +389,19 @@ def validate_streamed(
     return check_degree_distribution(measured, design.degree_distribution)
 
 
-#: Bytes per read in the chunked shard parser — large enough that numpy
-#: decoding dominates, small enough to stay out of the way of the one
-#: budget-sized-tile memory story.
-_READ_CHUNK_BYTES = 1 << 24
-
-
 def read_streamed_degree_distribution(
     files: Sequence[str | Path],
     num_vertices: int,
     *,
-    chunk_bytes: int = _READ_CHUNK_BYTES,
+    chunk_bytes: int = READ_CHUNK_BYTES,
 ) -> DegreeDistribution:
     """Recompute the degree histogram from on-disk rank files, one
     chunk in memory at a time (the downstream consumer's validation
-    path).
-
-    Decoding is chunked and vectorized: each ~``chunk_bytes`` slab is
-    cut at its last newline and parsed in one ``np.fromstring`` call
-    (tab- and newline-separated int64s), then the row column is taken by
-    stride — about an order of magnitude faster than per-line ``int()``
-    (``tools/bench_smoke.py`` asserts a throughput floor).
+    path), through the strict chunked parser
+    :func:`repro.io.tsv.iter_tsv_triples`.
     """
     accumulator = StreamingDegreeAccumulator(num_vertices)
     for path in files:
-        with open(path, "r", encoding="ascii") as fh:
-            tail = ""
-            while True:
-                text = fh.read(chunk_bytes)
-                if not text:
-                    break
-                text = tail + text
-                cut = text.rfind("\n")
-                if cut < 0:
-                    tail = text
-                    continue
-                tail = text[cut + 1 :]
-                arr = np.fromstring(text[: cut + 1], dtype=np.int64, sep="\t")
-                if arr.size % 3:
-                    raise IOFormatError(
-                        f"{path}: malformed TSV shard (token count "
-                        f"{arr.size} is not a multiple of 3)"
-                    )
-                accumulator.add_block_rows(arr[0::3])
-            if tail.strip():
-                raise IOFormatError(
-                    f"{path}: trailing partial line {tail!r}"
-                )
+        for triples in iter_tsv_triples(path, chunk_bytes=chunk_bytes):
+            accumulator.add_block_rows(triples[:, 0])
     return accumulator.distribution()

@@ -88,7 +88,7 @@ class FailureInjector:
 class _Task:
     """One attempt's worth of work, picklable for process pools."""
 
-    index: int
+    rank: int
     fn: Callable
     item: object
     attempt: int
@@ -101,7 +101,7 @@ class _Outcome:
     """What came back from one attempt (errors travel as strings so the
     outcome pickles regardless of the user exception type)."""
 
-    index: int
+    rank: int
     ok: bool
     value: object
     elapsed_s: float
@@ -117,11 +117,11 @@ def _guarded_call(task: _Task) -> _Outcome:
     t0 = task.clock()
     try:
         if task.injector is not None:
-            task.injector(task.index, task.attempt)
+            task.injector(task.rank, task.attempt)
         value = task.fn(task.item)
     except FatalRankError as exc:
         return _Outcome(
-            index=task.index,
+            rank=task.rank,
             ok=False,
             value=None,
             elapsed_s=task.clock() - t0,
@@ -130,7 +130,7 @@ def _guarded_call(task: _Task) -> _Outcome:
         )
     except Exception as exc:  # everything else is optimistically transient
         return _Outcome(
-            index=task.index,
+            rank=task.rank,
             ok=False,
             value=None,
             elapsed_s=task.clock() - t0,
@@ -138,7 +138,7 @@ def _guarded_call(task: _Task) -> _Outcome:
             error_text=f"{type(exc).__name__}: {exc}",
         )
     return _Outcome(
-        index=task.index, ok=True, value=value, elapsed_s=task.clock() - t0
+        rank=task.rank, ok=True, value=value, elapsed_s=task.clock() - t0
     )
 
 
@@ -249,9 +249,9 @@ class RankReport:
 
 @dataclass
 class ExecutionResult:
-    """Ordered results plus the full per-rank execution report."""
+    """The full per-rank execution report (the results themselves go to
+    the sink as each task commits; none are retained here)."""
 
-    results: List
     reports: List[RankReport]
 
     @property
@@ -275,10 +275,10 @@ class TaskCompletion:
     """One task finishing, as yielded by :meth:`RankExecutor.run_iter`.
 
     ``index`` is the position in the submitted ``items`` sequence;
-    ``report`` is that task's (final) :class:`RankReport`; ``in_flight``
-    is how many tasks were running at the moment this one completed —
-    the instantaneous queue depth, which the engine aggregates into
-    ``engine.queue_depth``.
+    ``report`` is that task's (final) :class:`RankReport`, labelled with
+    its rank; ``in_flight`` is how many tasks were running at the moment
+    this one completed — the instantaneous queue depth, which the engine
+    aggregates into ``engine.queue_depth``.
     """
 
     index: int
@@ -375,13 +375,13 @@ class RankExecutor:
             and outcome.elapsed_s > self.rank_timeout_s
         ):
             return _Outcome(
-                index=outcome.index,
+                rank=outcome.rank,
                 ok=False,
                 value=None,
                 elapsed_s=outcome.elapsed_s,
                 error_kind="timeout",
                 error_text=(
-                    f"RankTimeoutError: rank {outcome.index} took "
+                    f"RankTimeoutError: rank {outcome.rank} took "
                     f"{outcome.elapsed_s:.4f}s > timeout {self.rank_timeout_s}s"
                 ),
             )
@@ -393,6 +393,7 @@ class RankExecutor:
         fn: Callable,
         items: Sequence,
         *,
+        ranks: Sequence[int] | None = None,
         injector: Callable[[int, int], None] | None = None,
         max_in_flight: int | Callable[[], int] | None = None,
         submit_hook: Callable[[Tuple[int, ...]], Optional[int]] | None = None,
@@ -435,11 +436,19 @@ class RankExecutor:
         those of a churn-free run.  Reassignments are capped by
         ``max_reassignments`` and counted in ``engine.reassigned_tasks``.
 
+        ``ranks`` names each item's rank (default: its position).  Events,
+        reports, error messages and the ``injector(rank, attempt)`` call
+        all use it, so they name the right rank whatever order the items
+        were submitted in.
+
         Map-only backends are adapted via :func:`as_streaming` (they run
         correctly but without overlap).
         """
         items = list(items)
         n = len(items)
+        ranks = list(range(n)) if ranks is None else list(ranks)
+        if len(ranks) != n:
+            raise GenerationError(f"got {len(ranks)} ranks for {n} items")
         if callable(max_in_flight):
             dynamic_limit = max_in_flight
             limit = lambda: max(1, int(dynamic_limit()))  # noqa: E731
@@ -452,7 +461,7 @@ class RankExecutor:
         else:
             static_limit = max_in_flight
             limit = lambda: static_limit  # noqa: E731
-        reports = [RankReport(rank=i) for i in range(n)]
+        reports = [RankReport(rank=r) for r in ranks]
         if self.metrics is not None:
             self.metrics.gauge("ranks.total").set(n)
         backend = as_streaming(self.backend)
@@ -465,7 +474,7 @@ class RankExecutor:
 
         def submit(idx: int) -> None:
             attempt = attempts[idx]
-            self.events.rank_start(idx, attempt)
+            self.events.rank_start(ranks[idx], attempt)
             if self.tracer is not None:
                 # Overlapping in-flight spans can't use the tracer's
                 # per-thread stack; they are built and recorded by hand.
@@ -474,6 +483,7 @@ class RankExecutor:
                     start_s=self._clock(),
                     attributes={
                         "task": idx,
+                        "rank": ranks[idx],
                         "attempt": attempt,
                         "backend": backend.name,
                     },
@@ -481,7 +491,7 @@ class RankExecutor:
                     depth=1,
                 )
             task = _Task(
-                index=idx,
+                rank=ranks[idx],
                 fn=fn,
                 item=items[idx],
                 attempt=attempt,
@@ -549,12 +559,12 @@ class RankExecutor:
                         if self.metrics is not None:
                             self.metrics.counter("ranks.failed_exhausted").inc()
                         raise RetryExhaustedError(
-                            f"task {idx} lost its worker "
+                            f"rank {ranks[idx]} lost its worker "
                             f"{reassignments[idx]} time(s), reassignment "
                             f"budget {self.max_reassignments} exhausted: "
                             f"{exc}"
                         ) from exc
-                    self.events.reassigned(idx, attempt, exc)
+                    self.events.reassigned(ranks[idx], attempt, exc)
                     submit(idx)
                     continue
                 outcome = self._classify(raw)
@@ -578,7 +588,7 @@ class RankExecutor:
                         self.metrics.histogram("rank.elapsed_s").observe(
                             outcome.elapsed_s
                         )
-                    self.events.rank_done(idx, outcome.elapsed_s, attempt)
+                    self.events.rank_done(ranks[idx], outcome.elapsed_s, attempt)
                     if len(successes) >= 2:
                         median = statistics.median(successes)
                         if (
@@ -590,7 +600,7 @@ class RankExecutor:
                             if self.metrics is not None:
                                 self.metrics.counter("ranks.stragglers").inc()
                             self.events.straggler(
-                                idx, outcome.elapsed_s, median
+                                ranks[idx], outcome.elapsed_s, median
                             )
                     successes.append(outcome.elapsed_s)
                     yield TaskCompletion(
@@ -604,14 +614,14 @@ class RankExecutor:
                     if self.metrics is not None:
                         self.metrics.counter("ranks.failed_fatal").inc()
                     raise FatalRankError(
-                        f"rank {idx} failed fatally on attempt "
+                        f"rank {ranks[idx]} failed fatally on attempt "
                         f"{attempt + 1}: {outcome.error_text}"
                     )
                 if attempt >= self.max_retries:
                     if self.metrics is not None:
                         self.metrics.counter("ranks.failed_exhausted").inc()
                     raise RetryExhaustedError(
-                        f"rank {idx} failed {attempt + 1} time(s), retry "
+                        f"rank {ranks[idx]} failed {attempt + 1} time(s), retry "
                         f"budget {self.max_retries} exhausted: "
                         f"{outcome.error_text}"
                     )
@@ -625,7 +635,7 @@ class RankExecutor:
                     if outcome.error_kind == "timeout"
                     else TransientRankError(outcome.error_text)
                 )
-                self.events.retry(idx, attempt, delay, error)
+                self.events.retry(ranks[idx], attempt, delay, error)
                 self._sleep(delay)
                 attempts[idx] = attempt + 1
                 submit(idx)

@@ -46,45 +46,13 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import IOFormatError, ValidationError
+from repro.io.tsv import READ_CHUNK_BYTES, iter_tsv_triples
 
 #: Default adjacency-entry budget, matching the engine's per-rank default.
 DEFAULT_TRIANGLE_BUDGET_ENTRIES = 50_000_000
 
-#: Bytes per read in the chunked shard parser (the proven idiom from
-#: :func:`repro.parallel.stream.read_streamed_degree_distribution`).
-_READ_CHUNK_BYTES = 1 << 24
-
-
-def _iter_tsv_edges(
-    path: Path, chunk_bytes: int
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(rows, cols)`` int64 pairs from one ``row\\tcol\\tval``
-    TSV shard, one ~``chunk_bytes`` slab at a time."""
-    with open(path, "r", encoding="ascii") as fh:
-        tail = ""
-        while True:
-            text = fh.read(chunk_bytes)
-            if not text:
-                break
-            text = tail + text
-            cut = text.rfind("\n")
-            if cut < 0:
-                tail = text
-                continue
-            tail = text[cut + 1 :]
-            arr = np.fromstring(text[: cut + 1], dtype=np.int64, sep="\t")
-            if arr.size % 3:
-                raise IOFormatError(
-                    f"{path}: malformed TSV shard (token count "
-                    f"{arr.size} is not a multiple of 3)"
-                )
-            yield arr[0::3], arr[1::3]
-        if tail.strip():
-            raise IOFormatError(f"{path}: trailing partial line {tail!r}")
-
-
 def iter_shard_edges(
-    directory: str | Path, *, chunk_bytes: int = _READ_CHUNK_BYTES
+    directory: str | Path, *, chunk_bytes: int = READ_CHUNK_BYTES
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Stream a shard directory's edges rank by rank, chunk by chunk.
 
@@ -97,7 +65,9 @@ def iter_shard_edges(
         raise IOFormatError(f"no manifest.json in {directory}")
     manifest = json.loads(manifest_path.read_text(encoding="ascii"))
     for record in manifest["shards"]:
-        yield from _iter_tsv_edges(directory / record["filename"], chunk_bytes)
+        path = directory / record["filename"]
+        for triples in iter_tsv_triples(path, chunk_bytes=chunk_bytes):
+            yield triples[:, 0], triples[:, 1]
 
 
 def _manifest_num_vertices(directory: Path) -> Optional[int]:
@@ -276,7 +246,7 @@ def triangle_stream(
     num_vertices: Optional[int] = None,
     *,
     memory_budget_entries: int = DEFAULT_TRIANGLE_BUDGET_ENTRIES,
-    chunk_bytes: int = _READ_CHUNK_BYTES,
+    chunk_bytes: int = READ_CHUNK_BYTES,
 ) -> TriangleStreamResult:
     """Measure per-edge/per-vertex triangle participation, streamed.
 

@@ -35,7 +35,6 @@ from repro.engine import (
     execute,
     plan_from_design,
 )
-from repro.engine.execute import _RankMappedInjector
 from repro.errors import (
     FatalRankError,
     GenerationError,
@@ -446,8 +445,9 @@ class _LoseFirstHandle:
 
 
 class LoseFirstBackend:
-    """Streaming backend that loses chosen task indices' first
-    submission with WorkerLostError, then delegates to serial."""
+    """Streaming backend that loses chosen ranks' first submission with
+    WorkerLostError, then delegates to serial (a task's rank is its
+    index unless ``run_iter`` is given ranks)."""
 
     name = "lose-first"
 
@@ -458,12 +458,12 @@ class LoseFirstBackend:
         self.lost_submissions = 0
 
     def submit(self, fn, task):
-        if task.index in self.lose:
+        if task.rank in self.lose:
             if not self.forever:
-                self.lose.discard(task.index)
+                self.lose.discard(task.rank)
             self.lost_submissions += 1
             return _LoseFirstHandle(
-                WorkerLostError(f"synthetic loss of task {task.index}")
+                WorkerLostError(f"synthetic loss of rank {task.rank}")
             )
         return self.inner.submit(fn, task)
 
@@ -531,14 +531,20 @@ class TestExecutorReassignment:
         assert calls  # the limit was actually consulted
 
     def test_rank_mapped_injector_identity_across_reassignment(self):
+        # Items carry ranks (7, 3): the injector is called with the rank,
+        # also when rank 7's lost submission is re-dispatched.
         seen = []
-        injector = _RankMappedInjector(
-            ((0, 7), (1, 3)), lambda rank, attempt: seen.append((rank, attempt))
+        executor = RankExecutor(LoseFirstBackend({7}))
+        done = list(
+            executor.run_iter(
+                lambda t: t,
+                ["a", "b"],
+                ranks=[7, 3],
+                injector=lambda rank, attempt: seen.append((rank, attempt)),
+            )
         )
-        injector(0, 0)
-        injector(0, 0)  # the same task index, re-dispatched after a loss
-        injector(1, 0)
-        assert seen == [(7, 0), (7, 0), (3, 0)]
+        assert seen == [(3, 0), (7, 0)]
+        assert {c.index: c.report.rank for c in done} == {0: 7, 1: 3}
 
 
 # -- engine integration -------------------------------------------------------
@@ -607,7 +613,7 @@ class TestEngineElastic:
         assert pool.stats().submitted == 8
 
     def test_failure_injection_addresses_ranks_across_churn(self, tmp_path):
-        # The _RankMappedInjector regression at engine level: rank 5
+        # The rank-labelled injector at engine level: rank 5
         # fails its first attempt AND the pool churns; the injected
         # schedule must follow the rank (task identity), and output must
         # still match the static run.

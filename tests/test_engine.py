@@ -8,6 +8,9 @@ exceeds the budget, and byte-identity of tiny-budget streamed output
 with the default-budget run.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,16 +21,26 @@ from repro.engine import (
     GenerationPlan,
     RankTask,
     RunConfig,
+    ShardSink,
+    Sink,
     StaticScheduler,
+    WorkQueueScheduler,
     execute,
     plan_from_chain,
     plan_from_design,
 )
+from repro.engine.sinks import _BlockConsumerFactory
 from repro.errors import GenerationError, PartitionError
 from repro.graphs import star_adjacency
 from repro.kron import KroneckerChain, kron, kron_tiles, tile_row_ranges
 from repro.parallel import VirtualCluster, streamed_degree_distribution
-from repro.runtime import MetricsRegistry
+from repro.runtime import (
+    CrashInjector,
+    FailureInjector,
+    MetricsRegistry,
+    RankEvents,
+    SimulatedCrash,
+)
 
 
 def _triples(m):
@@ -216,3 +229,82 @@ class TestPlanValidation:
         assert isinstance(plan, GenerationPlan)
         assert plan.memory_budget_entries == 1000
         assert sum(t.estimated_entries for t in plan.tasks) == design.raw_nnz
+
+
+class TestRankLabels:
+    """Events and reports name the rank, not the submission position."""
+
+    DESIGN = PowerLawDesign([3, 4, 5], "center")
+
+    def _run(self, plan, sink, **kwargs):
+        retried = []
+        events = RankEvents(on_retry=lambda rank, *_: retried.append(rank))
+        result = execute(
+            plan,
+            sink,
+            events=events,
+            max_retries=1,
+            failure_injector=FailureInjector([0], fail_attempts=1),
+            **kwargs,
+        )
+        ranks = result.execution.to_dict()["ranks"]
+        return retried, {r["rank"]: r["retries"] for r in ranks}
+
+    def test_queue_scheduler_order(self):
+        plan = plan_from_design(self.DESIGN, 4)
+        order = WorkQueueScheduler().order(plan.tasks)
+        assert [t.rank for t in order] == [1, 2, 3, 0]
+        retried, retries = self._run(
+            plan,
+            AssemblySink(),
+            config=RunConfig(backend="serial", scheduler=WorkQueueScheduler()),
+        )
+        assert retried == [0]
+        assert retries == {0: 1, 1: 0, 2: 0, 3: 0}
+
+    def test_resumed_run(self, tmp_path):
+        plan = plan_from_design(self.DESIGN, 4)
+        with pytest.raises(SimulatedCrash):
+            execute(plan, ShardSink(tmp_path, crash_hook=CrashInjector(1)))
+        # Rank 0 committed before the crash; rank 3 is the last of the
+        # three resumed ranks and fails its first attempt.
+        retried = []
+        result = execute(
+            plan,
+            ShardSink(tmp_path, resume=True),
+            events=RankEvents(on_retry=lambda rank, *_: retried.append(rank)),
+            max_retries=1,
+            failure_injector=FailureInjector([3], fail_attempts=1),
+        )
+        assert result.skipped_ranks == (0,)
+        assert retried == [3]
+        ranks = result.execution.to_dict()["ranks"]
+        assert {r["rank"]: r["retries"] for r in ranks} == {1: 0, 2: 0, 3: 1}
+
+
+class _ForgetfulSink(Sink):
+    """Sees each committed payload and keeps only a weak reference."""
+
+    def __init__(self) -> None:
+        self.refs = []
+
+    def consumer_factory(self, task):
+        return _BlockConsumerFactory()
+
+    def _commit(self, task, outcome):
+        self.refs.append(weakref.ref(outcome.payload[0]))
+
+    def _finalize(self, plan, *, elapsed_s, skipped):
+        return None
+
+
+def test_execute_retains_no_payload():
+    sink = _ForgetfulSink()
+    result = execute(
+        plan_from_design(PowerLawDesign([3, 4, 5], "center"), 3),
+        sink,
+        config=RunConfig(backend="serial"),
+    )
+    gc.collect()
+    assert len(result.stats) == len(sink.refs) == 3
+    assert all(ref() is None for ref in sink.refs)

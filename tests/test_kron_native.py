@@ -1,9 +1,10 @@
 """Native kernel byte-identity and capability gating.
 
-The native path (``repro.kron._fast``) must be *invisible* in the
-output: tiles, shard bytes, and manifests are byte-identical to the
-pure-NumPy oracle at every memory budget.  Without numba installed, the
-same kernel bodies run as plain Python under the
+The native expand kernel (``repro.kron._fast``) must be *invisible* in
+the output: tiles, shard bytes, and manifests are byte-identical to the
+pure-NumPy oracle at every memory budget.  (The TSV encoder has one
+implementation; its tests are in ``test_io_tsv.py``.)  Without numba
+installed, the same kernel body runs as plain Python under the
 ``REPRO_NATIVE_ALLOW_PYTHON=1`` testing hook — same code, same answers,
 just slow — so these properties hold in every environment; a numba
 install only changes ``kernels_jitted()``.
@@ -17,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.sinks import _serialize_tile, _serialize_tile_native
 from repro.errors import GenerationError, KernelUnavailableError
 from repro.kron import _fast
 from repro.kron.tiles import kron_tiles
@@ -151,52 +151,6 @@ class TestExpandByteIdentity:
             empty, empty, empty, empty, empty, empty, 3, 3
         )
         assert rows.size == cols.size == vals.size == 0
-
-
-class TestEncoderByteIdentity:
-    @settings(max_examples=80, deadline=None)
-    @given(
-        triples=st.lists(
-            st.tuples(
-                st.integers(-(2**63), 2**63 - 1),
-                st.integers(-(2**63), 2**63 - 1),
-                st.integers(-(2**63), 2**63 - 1),
-            ),
-            max_size=20,
-        )
-    )
-    def test_hypothesis_encoder_matches_fstring_oracle(self, triples):
-        import os
-
-        os.environ[_fast.ALLOW_PYTHON_ENV] = "1"
-        _fast._reset()
-        try:
-            if triples:
-                rows, cols, vals = (
-                    np.array(col, dtype=np.int64) for col in zip(*triples)
-                )
-            else:
-                rows = cols = vals = np.array([], dtype=np.int64)
-            native, n_native = _serialize_tile_native(rows, cols, vals)
-            oracle, n_oracle = _serialize_tile(rows, cols, vals)
-            assert native == oracle
-            assert n_native == n_oracle
-        finally:
-            os.environ.pop(_fast.ALLOW_PYTHON_ENV, None)
-            _fast._reset()
-
-    def test_int64_extremes(self, python_native):
-        extremes = np.array(
-            [0, 1, -1, 9, -9, 10, -10, 2**63 - 1, -(2**63), 123456789],
-            dtype=np.int64,
-        )
-        native, _ = _serialize_tile_native(extremes, extremes[::-1].copy(), extremes)
-        oracle, _ = _serialize_tile(extremes, extremes[::-1].copy(), extremes)
-        assert native == oracle
-
-    def test_empty_tile_is_empty_bytes(self, python_native):
-        empty = np.array([], dtype=np.int64)
-        assert _fast.encode_tile_native(empty, empty, empty) == b""
 
 
 class TestEngineByteIdentity:

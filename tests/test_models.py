@@ -48,6 +48,7 @@ from repro.models import (
 from repro.parallel import generate_to_disk
 from repro.parallel.partition import partition_bc
 from repro.parallel.machine import VirtualCluster
+from tests.oracles import skg_generate_float
 
 DESIGN = PowerLawDesign([3, 4, 5], "center")
 SKG = StochasticKroneckerModel(levels=6, num_edges=300, seed=42)
@@ -92,6 +93,38 @@ class TestCounterU01:
         hist, _ = np.histogram(u, bins=16, range=(0.0, 1.0))
         assert hist.min() > (1 << 12) * 0.85
         assert hist.max() < (1 << 12) * 1.15
+
+
+# -- the integer-threshold kernel against the float oracle -------------------
+class TestIntegerThresholdKernel:
+    @pytest.mark.parametrize(
+        "length", [1, (1 << 15) - 1, 1 << 15, (1 << 15) + 1, 1 << 17]
+    )
+    @pytest.mark.parametrize(
+        "model",
+        [
+            SKG,
+            NOISY,
+            StochasticKroneckerModel(
+                levels=16, num_edges=1 << 20, seed=3, initiator=(0.0, 0.5, 0.5, 0.0)
+            ),
+            NoisySKGModel(
+                levels=20,
+                num_edges=1 << 20,
+                seed=5,
+                initiator=(0.5, 0.25, 0.25, 0.0),
+                noise=0.1,
+            ),
+        ],
+        ids=["skg", "noisy-skg", "skg-zero-a-d", "noisy-skg-zero-d"],
+    )
+    def test_matches_float_oracle(self, model, length):
+        lo = 12345
+        got = model._generate(lo, lo + length)
+        want = skg_generate_float(model, lo, lo + length)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
 
 
 # -- model construction and validation ----------------------------------------

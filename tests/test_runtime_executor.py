@@ -53,22 +53,22 @@ def make_executor(clock=None, sleeps=None, **kwargs):
 
 
 def run_all(executor, fn, items, **kwargs):
-    """Drive ``run_iter`` to the end and assemble an item-ordered
-    :class:`ExecutionResult`, the way the engine does."""
+    """Drive ``run_iter`` to the end; return the item-ordered values and
+    the :class:`ExecutionResult` the engine would assemble."""
     items = list(items)
-    results = [None] * len(items)
+    values = [None] * len(items)
     reports = [None] * len(items)
     for done in executor.run_iter(fn, items, **kwargs):
-        results[done.index] = done.value
+        values[done.index] = done.value
         reports[done.index] = done.report
-    return ExecutionResult(results=results, reports=reports)
+    return values, ExecutionResult(reports=reports)
 
 
 class TestHappyPath:
     def test_results_in_item_order(self):
         executor, _, _ = make_executor()
-        result = run_all(executor, lambda x: x * 10, [1, 2, 3])
-        assert result.results == [10, 20, 30]
+        values, result = run_all(executor, lambda x: x * 10, [1, 2, 3])
+        assert values == [10, 20, 30]
         assert result.total_retries == 0
         assert all(len(r.attempts) == 1 for r in result.reports)
 
@@ -79,21 +79,23 @@ class TestHappyPath:
             clock.advance(dt)
             return dt
 
-        result = run_all(executor, work, [0.5, 2.0])
+        _, result = run_all(executor, work, [0.5, 2.0])
         assert [r.elapsed_s for r in result.reports] == [0.5, 2.0]
 
     def test_empty_items(self):
         executor, _, _ = make_executor()
-        result = run_all(executor, lambda x: x, [])
-        assert result.results == [] and result.reports == []
+        values, result = run_all(executor, lambda x: x, [])
+        assert values == [] and result.reports == []
 
 
 class TestRetry:
     def test_transient_failure_retried_and_succeeds(self):
         executor, _, sleeps = make_executor(max_retries=2)
         injector = FailureInjector([1], fail_attempts=1)
-        result = run_all(executor, lambda x: x, ["a", "b", "c"], injector=injector)
-        assert result.results == ["a", "b", "c"]
+        values, result = run_all(
+            executor, lambda x: x, ["a", "b", "c"], injector=injector
+        )
+        assert values == ["a", "b", "c"]
         assert result.reports[1].retries == 1
         assert not result.reports[1].attempts[0].ok
         assert result.reports[1].attempts[1].ok
@@ -151,8 +153,8 @@ class TestRetry:
                 raise ValueError("boom")
             return x
 
-        result = run_all(executor, flaky, [7])
-        assert result.results == [7]
+        values, result = run_all(executor, flaky, [7])
+        assert values == [7]
         assert "ValueError: boom" in result.reports[0].attempts[0].error
 
     def test_negative_retries_rejected(self):
@@ -169,8 +171,8 @@ class TestTimeout:
             clock.advance(next(durations))
             return x
 
-        result = run_all(executor, work, ["ok"])
-        assert result.results == ["ok"]
+        values, result = run_all(executor, work, ["ok"])
+        assert values == ["ok"]
         first, second = result.reports[0].attempts
         assert not first.ok and "RankTimeoutError" in first.error
         assert second.ok and second.elapsed_s == pytest.approx(1.0)
@@ -192,7 +194,7 @@ class TestTimeout:
             clock.advance(1e6)
             return x
 
-        assert run_all(executor, slow, [1]).results == [1]
+        assert run_all(executor, slow, [1])[0] == [1]
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(TransientRankError):
@@ -207,7 +209,7 @@ class TestStragglers:
             clock.advance(dt)
             return dt
 
-        return run_all(executor, work, durations)
+        return run_all(executor, work, durations)[1]
 
     def test_slow_rank_flagged(self):
         result = self._run_with_durations([1.0, 1.0, 1.0, 10.0], straggler_factor=3.0)
@@ -284,7 +286,7 @@ class TestObservability:
     def test_execution_report_to_dict(self):
         executor, _, _ = make_executor(max_retries=1)
         injector = FailureInjector([0], fail_attempts=1)
-        result = run_all(executor, lambda x: x, [1], injector=injector)
+        _, result = run_all(executor, lambda x: x, [1], injector=injector)
         d = result.to_dict()
         assert d["total_retries"] == 1
         assert d["ranks"][0]["retries"] == 1

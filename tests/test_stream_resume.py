@@ -248,20 +248,18 @@ class TestGracefulDegradation:
     def test_wrong_total_marks_manifest_failed(self, tmp_path, monkeypatch):
         import repro.engine.sinks as sinks_mod
 
-        real = sinks_mod._serialize_tile
+        real = sinks_mod.write_tsv_triples
         dropped = {"done": False}
 
-        def lossy(rows, cols, vals):
-            data, count = real(rows, cols, vals)
+        def lossy(fh, rows, cols, vals):
             # Drop the last line of the first tile seen (rank 0 runs
             # first on the serial backend), undercounting the total.
-            if not dropped["done"] and count:
+            if not dropped["done"] and len(rows):
                 dropped["done"] = True
-                lines = data.splitlines(keepends=True)[:-1]
-                return b"".join(lines), count - 1
-            return data, count
+                return real(fh, rows[:-1], cols[:-1], vals[:-1])
+            return real(fh, rows, cols, vals)
 
-        monkeypatch.setattr(sinks_mod, "_serialize_tile", lossy)
+        monkeypatch.setattr(sinks_mod, "write_tsv_triples", lossy)
         with pytest.raises(GenerationError):
             generate_to_disk(DESIGN, N_RANKS, tmp_path)
         assert RunManifest.load(tmp_path).status == STATUS_FAILED

@@ -27,7 +27,7 @@ Eleven cheap CI guards:
    distributed path stays exact;
 7. the native-kernel guard: shards generated with ``kernel="native"``
    must be byte-identical to the pure-NumPy oracle at every memory
-   budget under both schedulers (without numba the native bodies run
+   budget under both schedulers (without numba the native body runs
    as plain Python under the ``REPRO_NATIVE_ALLOW_PYTHON`` hook — same
    code, same bytes), and the multiprocessing-path edges/sec for the
    baseline (pickled tiles + numpy kernel) and native (shared-memory
