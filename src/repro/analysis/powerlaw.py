@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Tuple
 
 from repro.design.distribution import DegreeDistribution
 from repro.errors import DesignError

@@ -31,6 +31,7 @@ exactly why :func:`repro.catalog.keys.catalog_key` strips the seed.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Mapping, Optional, Tuple
 
 from repro.catalog.keys import catalog_key, model_name_for_key
@@ -46,81 +47,24 @@ class PlanEdgeStream:
     """A re-iterable ``(rows, cols)`` chunk stream generated straight
     from a :class:`~repro.engine.plan.GenerationPlan`.
 
-    Mirrors the worker loop in :func:`repro.engine.execute._run_rank_task`
-    — model tiles, then the plan's loop removal — minus the scramble
-    (label-invariant consumers don't need it) and minus any sink: tiles
-    are yielded and dropped, so peak memory is one tile.  Iterating
-    again regenerates from scratch, which is what lets
+    Iterates :func:`repro.engine.execute.iter_task_tiles` over every
+    task — model tiles, then the plan's loop removal — with the scramble
+    dropped (label-invariant consumers don't need it) and no sink:
+    tiles are yielded and dropped, so peak memory is one tile.
+    Iterating again regenerates from scratch, which is what lets
     :func:`repro.validate.triangle_stream.triangle_stream` make its
     multiple block-pair passes without ever materializing the graph.
     """
 
     def __init__(self, plan) -> None:
-        self._plan = plan
-        self._kernel = plan.model.resolve_kernel(plan.kernel)
+        self._plan = replace(plan, scramble_seed=None)
 
     def __iter__(self):
-        plan = self._plan
-        model = plan.model
-        shared_c = plan.c_matrix if model.shared_factor else None
-        for task in plan.tasks:
-            work = _TileWork(
-                rank=task.rank,
-                b_local=(
-                    None if task.assignment is None else task.assignment.b_local
-                ),
-                col_base=(
-                    0 if task.assignment is None else task.assignment.col_base
-                ),
-                c=shared_c,
-                max_tile_entries=plan.memory_budget_entries,
-                kernel=self._kernel,
-                spec=task.spec,
-            )
-            for rows, cols, _vals in model.tile_iter(work):
-                if plan.loop_vertex is not None:
-                    hit = (rows == plan.loop_vertex) & (
-                        cols == plan.loop_vertex
-                    )
-                    if hit.any():
-                        keep = ~hit
-                        rows, cols = rows[keep], cols[keep]
+        from repro.engine.execute import iter_task_tiles
+
+        for task in self._plan.tasks:
+            for rows, cols, _vals in iter_task_tiles(self._plan, task):
                 yield rows, cols
-
-
-class _TileWork:
-    """The duck-typed slice of ``_RankWork`` that ``tile_iter`` reads."""
-
-    __slots__ = (
-        "rank",
-        "b_local",
-        "col_base",
-        "c",
-        "max_tile_entries",
-        "kernel",
-        "spec",
-        "c_ref",
-    )
-
-    def __init__(
-        self,
-        *,
-        rank: int,
-        b_local,
-        col_base: int,
-        c,
-        max_tile_entries: Optional[int],
-        kernel: str,
-        spec: object = None,
-    ) -> None:
-        self.rank = rank
-        self.b_local = b_local
-        self.col_base = col_base
-        self.c = c
-        self.max_tile_entries = max_tile_entries
-        self.kernel = kernel
-        self.spec = spec
-        self.c_ref = None
 
 
 def _streamed_stats(

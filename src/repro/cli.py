@@ -10,8 +10,8 @@ Subcommands mirror the paper's workflow:
 * ``validate`` — realize a design and compare measured vs. predicted,
 * ``verify-shards`` — recompute shard checksums against manifest.json,
 * ``scale``    — run a Fig.-3-style rank-count sweep,
-* ``info``     — report optional-capability availability (kernels,
-  backends, transports, generator models) on this machine,
+* ``info``     — report optional-capability availability (backends,
+  start methods, transports, generator models) on this machine,
 * ``serve``    — run the async graph service (:mod:`repro.serve`):
   design records and streamed tile generation over HTTP,
 * ``query``    — client for a running server: POST a design, fetch its
@@ -104,16 +104,6 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
         help="per-rank memory budget in matrix entries; blocks larger than "
         "this are generated in bounded-memory tiles",
     )
-    from repro.kron import KERNEL_CHOICES
-
-    p.add_argument(
-        "--kernel",
-        choices=list(KERNEL_CHOICES),
-        default="auto",
-        help="generation kernel: 'numpy' (the portable oracle), 'native' "
-        "(numba-jitted, byte-identical output, fails without numba), or "
-        "'auto' to use native when available",
-    )
 
 
 def _resolve_scheduler(args: argparse.Namespace):
@@ -143,7 +133,6 @@ def _run_config_from_args(args: argparse.Namespace, **overrides):
         backend=_resolve_cli_backend(args),
         scheduler=_resolve_scheduler(args),
         memory_budget_entries=args.memory_budget,
-        kernel=getattr(args, "kernel", "auto"),
     )
     fields.update(overrides)
     return RunConfig(**fields)
@@ -361,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "info",
-        help="report which optional capabilities (native kernel, "
-        "backends, transports, generator models) this machine has",
+        help="report which optional capabilities (backends, start "
+        "methods, transports, generator models) this machine has",
     )
 
     p_srv = sub.add_parser(
@@ -551,7 +540,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         rank_timeout_s=args.rank_timeout,
         metrics=metrics,
         events=progress.events(),
-        kernel=args.kernel,
     )
     blocks = gen.generate_blocks()
     audit = audit_partition(gen.plan, blocks, design.raw_nnz)
@@ -818,15 +806,13 @@ def cmd_check_files(args: argparse.Namespace) -> int:
 
 def cmd_info(args: argparse.Namespace) -> int:
     """Report which optional capabilities this machine actually has, so
-    "works here, fails there" surprises (no numba, fork-only platforms)
-    are diagnosable in one command."""
+    "works here, fails there" surprises (fork-only platforms) are
+    diagnosable in one command."""
     import multiprocessing
-    import os
     import platform
 
     import numpy as np
 
-    from repro.kron import _fast
     from repro.models import MODEL_CHOICES
     from repro.net import list_transports
     from repro.parallel.backends import default_start_method, list_backends
@@ -835,18 +821,6 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(
         f"python {platform.python_version()} on {platform.system().lower()}"
         f", numpy {np.__version__}"
-    )
-    print("kernels:")
-    native = _fast.native_available()
-    print(f"  numba importable:   {'yes' if _fast.numba_available() else 'no'}")
-    print(f"  native available:   {'yes' if native else 'no'}")
-    # kernels_jitted() loads the kernels, which raises when unavailable.
-    jitted = "yes" if native and _fast.kernels_jitted() else "no"
-    print(f"  native jitted:      {jitted}")
-    allow_python = os.environ.get(_fast.ALLOW_PYTHON_ENV)
-    print(
-        f"  {_fast.ALLOW_PYTHON_ENV}: "
-        f"{allow_python if allow_python is not None else '(unset)'}"
     )
     print(f"backends: {', '.join(list_backends())}")
     methods = multiprocessing.get_all_start_methods()

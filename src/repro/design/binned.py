@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from repro.design.distribution import DegreeDistribution
 from repro.design.star_design import PowerLawDesign
 from repro.errors import DesignError
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from math import prod
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.design.star_design import PowerLawDesign

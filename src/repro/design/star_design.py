@@ -14,7 +14,7 @@ the 10³⁰-edge Fig. 7 design takes microseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from typing import Sequence, Tuple
 

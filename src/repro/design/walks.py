@@ -22,7 +22,7 @@ independent of m̂ (m̂ = 14641 costs the same as m̂ = 3).
 from __future__ import annotations
 
 from math import prod
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.design.star_design import PowerLawDesign
 from repro.errors import DesignError

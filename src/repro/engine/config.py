@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 from repro.errors import GenerationError
-from repro.kron._fast import KERNEL_CHOICES
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,6 @@ class RunConfig:
         completed ranks.
     scramble_seed:
         Graph500-style vertex-relabeling seed; ``None`` disables.
-    kernel:
-        Generation kernel: ``"auto"`` (native when available),
-        ``"numpy"`` (the oracle), or ``"native"`` (strict).
     model:
         Generator model: ``None`` or ``"kron"`` for the deterministic
         Kronecker path (historical behaviour), ``"skg"`` /
@@ -77,15 +73,9 @@ class RunConfig:
     checkpoint_dir: Optional[str] = None
     resume: bool = False
     scramble_seed: Optional[int] = None
-    kernel: str = "auto"
     model: object = None
 
     def __post_init__(self) -> None:
-        if self.kernel not in KERNEL_CHOICES:
-            raise GenerationError(
-                f"unknown kernel {self.kernel!r}; choose one of "
-                f"{KERNEL_CHOICES}"
-            )
         if isinstance(self.model, str):
             from repro.models import MODEL_CHOICES
 

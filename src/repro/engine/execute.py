@@ -65,7 +65,6 @@ from repro.errors import (
     RetryExhaustedError,
     StorageError,
 )
-from repro.kron import _fast
 from repro.models import default_model
 from repro.runtime.events import RankEvents
 from repro.runtime.executor import ExecutionResult, RankExecutor, RankReport
@@ -88,8 +87,7 @@ class _RankWork:
     coordinator-owned segment and the worker attaches (cached per
     process, zero-copy).  Models without a shared factor ignore
     ``b_local``/``col_base``/``c`` and read their per-rank ``spec``
-    instead.  ``kernel`` is already resolved to a concrete
-    implementation (never ``"auto"``) by :func:`execute`.
+    instead.
     """
 
     rank: int
@@ -100,7 +98,6 @@ class _RankWork:
     scramble: Optional["ScramblePermutation"]
     max_tile_entries: Optional[int]
     consumer_factory: Callable
-    kernel: str = "numpy"
     c_ref: object = None
     spec: object = None
     model: object = field(default_factory=default_model)
@@ -183,7 +180,6 @@ def iter_task_tiles(plan: GenerationPlan, task: RankTask):
     the generation surface :mod:`repro.serve` streams over HTTP.
     """
     model = plan.model
-    kernel = model.resolve_kernel(plan.kernel)
     shared_c = plan.c_matrix if model.shared_factor else None
     work = _RankWork(
         rank=task.rank,
@@ -194,7 +190,6 @@ def iter_task_tiles(plan: GenerationPlan, task: RankTask):
         scramble=plan.scramble,
         max_tile_entries=plan.memory_budget_entries,
         consumer_factory=None,
-        kernel=kernel,
         spec=task.spec,
         model=model,
     )
@@ -259,8 +254,7 @@ def execute(
     """Run ``plan`` through ``sink`` — the one generation loop.
 
     ``config`` (:class:`~repro.engine.config.RunConfig`) shapes the run:
-    ``execute`` honours its ``backend``, ``scheduler``, and ``kernel``
-    fields (a non-``"auto"`` config kernel overrides the plan's); the
+    ``execute`` honours its ``backend`` and ``scheduler`` fields; the
     remaining fields belong to the higher-level drivers and raise here.
 
     ``executor`` overrides the backend/retry/timeout arguments when
@@ -297,8 +291,6 @@ def execute(
         ),
     )
     scheduler = cfg.scheduler or StaticScheduler()
-    if cfg.kernel != "auto" and cfg.kernel != plan.kernel:
-        plan = replace(plan, kernel=cfg.kernel)
     from repro.parallel.backends import backend_worker_count, resolve_backend
 
     if executor is None:
@@ -330,14 +322,6 @@ def execute(
         metrics.gauge("engine.peak_tile_entries").set(0)
         metrics.gauge("engine.queue_depth").set(0)
     model = plan.model
-    # Resolve the kernel once, coordinator-side — resolution is
-    # model-owned: every worker gets a concrete "numpy"/"native" (a
-    # strict request the model cannot satisfy fails here, before any
-    # work is dispatched), and a native run compiles now so forked
-    # workers inherit the compiled code.
-    kernel = model.resolve_kernel(plan.kernel)
-    if kernel == "native":
-        _fast.warmup_native()
     # Zero-copy tile handoff: for sinks whose payload IS the triples
     # (payload_kind == "triples") on a backend advertising
     # ``zero_copy_tiles``, tiles move through a coordinator-owned
@@ -392,7 +376,6 @@ def execute(
             scramble=plan.scramble,
             max_tile_entries=plan.memory_budget_entries,
             consumer_factory=factory,
-            kernel=kernel,
             c_ref=c_ref,
             spec=t.spec,
             model=model,

@@ -86,13 +86,6 @@ class GenerationPlan:
     scramble_seed: Optional[int] = None
     expected_edges: Optional[int] = None
     expected_nnz: Optional[int] = None
-    #: Generation kernel request: ``"auto"`` (native when available),
-    #: ``"numpy"`` (the oracle), or ``"native"`` (strict — raises
-    #: without numba).  ``execute`` resolves ``"auto"`` to a concrete
-    #: kernel once, coordinator-side, so every worker agrees.  Kernel
-    #: resolution is model-owned: models without a native kernel refuse
-    #: strict ``"native"`` requests.
-    kernel: str = "auto"
     #: The generator model producing the tiles (see :mod:`repro.models`).
     model: "GeneratorModel" = field(default_factory=default_model)
     # Pre-materialized C (adapters that already hold it avoid a second
@@ -168,7 +161,6 @@ def plan_from_partition(
     scramble_seed: Optional[int] = None,
     expected_edges: Optional[int] = None,
     expected_nnz: Optional[int] = None,
-    kernel: str = "auto",
     c: Optional["COOMatrix"] = None,
 ) -> GenerationPlan:
     """Wrap an existing partition as a plan (the adapter entry point)."""
@@ -197,7 +189,6 @@ def plan_from_partition(
         scramble_seed=scramble_seed,
         expected_edges=expected_edges,
         expected_nnz=expected_nnz,
-        kernel=kernel,
         _c=c,
     )
 
@@ -209,7 +200,6 @@ def plan_from_model(
     memory_budget_entries: Optional[int] = DEFAULT_MEMORY_BUDGET_ENTRIES,
     scramble_seed: Optional[int] = None,
     allow_empty_ranks: bool = False,
-    kernel: str = "auto",
 ) -> GenerationPlan:
     """Plan a run of a self-describing generator model (SKG family).
 
@@ -232,7 +222,6 @@ def plan_from_model(
         scramble_seed=scramble_seed,
         expected_edges=model.num_edges,
         expected_nnz=model.num_edges,
-        kernel=kernel,
         model=model,
     )
 
@@ -243,7 +232,6 @@ def plan_from_chain(
     *,
     split_index: Optional[int] = None,
     allow_empty_ranks: bool = False,
-    kernel: str = "auto",
 ) -> GenerationPlan:
     """Plan a bare factor chain on a virtual cluster."""
     from repro.parallel.partition import partition_bc
@@ -259,7 +247,6 @@ def plan_from_chain(
             chain, n_ranks=cluster.n_ranks, split_index=partition.split_index
         ),
         expected_nnz=chain.nnz,
-        kernel=kernel,
     )
 
 
@@ -272,7 +259,6 @@ def plan_from_design(
     split_index: Optional[int] = None,
     remove_loop: bool = True,
     allow_empty_ranks: bool = False,
-    kernel: str = "auto",
 ) -> GenerationPlan:
     """Plan a :class:`~repro.design.star_design.PowerLawDesign` run.
 
@@ -302,5 +288,4 @@ def plan_from_design(
         scramble_seed=scramble_seed,
         expected_edges=design.num_edges,
         expected_nnz=chain.nnz,
-        kernel=kernel,
     )

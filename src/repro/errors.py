@@ -41,17 +41,6 @@ class PartitionError(GenerationError):
     """A parallel partition is infeasible (e.g. more ranks than triples)."""
 
 
-class KernelUnavailableError(GenerationError):
-    """The requested generation kernel cannot run here (``"native"``
-    without ``numba`` installed).
-
-    Importing :mod:`repro.kron._fast` is always safe,
-    ``native_available()`` answers the capability question, and asking
-    for the native kernel on a bare interpreter raises this typed error
-    instead of an ``ImportError`` — ``kernel="auto"`` falls back to the
-    pure-NumPy oracle instead."""
-
-
 class RankExecutionError(GenerationError):
     """A rank's unit of work failed while executing on a backend."""
 

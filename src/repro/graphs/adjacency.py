@@ -15,7 +15,6 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.graphs.degree import degree_distribution_of
 from repro.sparse.convert import AnySparse, as_coo
-from repro.sparse.coo import COOMatrix
 
 
 class Graph:

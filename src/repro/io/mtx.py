@@ -9,7 +9,6 @@ or ``real`` fields and ``general`` or ``symmetric`` symmetry; indices are
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Tuple
 
 import numpy as np
 

@@ -14,12 +14,6 @@ Three tiers, matching how the paper uses the operator:
 """
 
 from repro.semiring.ops import kron_dense
-from repro.kron._fast import (
-    KERNEL_CHOICES,
-    native_available,
-    resolve_kernel,
-    warmup_native,
-)
 from repro.kron.sparse_kron import kron, kron_chain
 from repro.kron.tiles import kron_tiles, tile_row_ranges
 from repro.kron.chain import KroneckerChain
@@ -41,10 +35,6 @@ __all__ = [
     "kron_dense",
     "kron_tiles",
     "tile_row_ranges",
-    "KERNEL_CHOICES",
-    "native_available",
-    "resolve_kernel",
-    "warmup_native",
     "KroneckerChain",
     "MixedRadix",
     "connected_components",

@@ -30,7 +30,6 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro.errors import GenerationError
-from repro.kron import _fast
 from repro.semiring.base import Semiring
 from repro.semiring.standard import PLUS_TIMES
 from repro.sparse.convert import AnySparse, as_coo
@@ -70,23 +69,11 @@ def tile_row_ranges(
         start = end
 
 
-def _native_applicable(ca, cb, semiring: Semiring) -> bool:
-    """The compiled kernel covers the engine's hot shape only:
-    plus-times over int64 triples."""
-    return (
-        semiring is PLUS_TIMES
-        and ca.vals.dtype == np.int64
-        and cb.vals.dtype == np.int64
-    )
-
-
 def kron_tiles(
     bp: AnySparse,
     c: AnySparse,
     max_entries: Optional[int] = None,
     semiring: Semiring = PLUS_TIMES,
-    *,
-    kernel: str = "numpy",
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield ``bp ⊗ c`` as ``(rows, cols, vals)`` tiles of bounded size.
 
@@ -95,25 +82,9 @@ def kron_tiles(
     canonical triple list of ``kron(bp, c, semiring)`` exactly (see the
     module docstring for why).  No tile exceeds ``max_entries`` output
     entries unless a single ``bp`` row alone does.
-
-    ``kernel`` selects the expansion implementation: ``"numpy"`` (the
-    oracle, default), ``"native"`` (compiled merge-order kernel from
-    :mod:`repro.kron._fast`; raises
-    :class:`~repro.errors.KernelUnavailableError` without numba, and
-    :class:`~repro.errors.GenerationError` for non-plus-times semirings
-    or non-int64 values), or ``"auto"`` (native whenever it is both
-    available and applicable).  Output bytes are identical either way.
     """
     ca, cb = as_coo(bp), as_coo(c)
     nb, mb = cb.shape
-    resolved = _fast.resolve_kernel(kernel)
-    if resolved == "native" and not _native_applicable(ca, cb, semiring):
-        if kernel == "native":
-            raise GenerationError(
-                "kernel='native' supports only the plus-times semiring "
-                "over int64 values; use kernel='auto' or 'numpy'"
-            )
-        resolved = "numpy"
     if ca.nnz == 0 or cb.nnz == 0:
         return
     # Canonical COO is sorted by (row, col), so ca.rows is ascending and
@@ -125,12 +96,6 @@ def kron_tiles(
         s, e = np.searchsorted(ca.rows, [start_row, end_row])
         if s == e:
             continue  # only structurally empty rows in this span
-        if resolved == "native":
-            yield _fast.expand_tile(
-                ca.rows[s:e], ca.cols[s:e], ca.vals[s:e],
-                cb.rows, cb.cols, cb.vals, nb, mb,
-            )
-            continue
         k = int(e - s)
         rows = np.repeat(ca.rows[s:e] * nb, cb.nnz) + np.tile(cb.rows, k)
         cols = np.repeat(ca.cols[s:e] * mb, cb.nnz) + np.tile(cb.cols, k)

@@ -70,13 +70,6 @@ class GeneratorModel(Protocol):
     #: Whether ``RankTask.estimated_entries`` is an exact output count.
     exact_prediction: bool
 
-    def resolve_kernel(self, request: str) -> str:
-        """Resolve a kernel request (``"auto"``/``"numpy"``/``"native"``)
-        to the concrete kernel this model will run, or raise
-        :class:`~repro.errors.KernelUnavailableError` for a strict
-        request the model cannot satisfy."""
-        ...
-
     def rank_tasks(
         self, n_ranks: int, *, allow_empty_ranks: bool = False
     ) -> Tuple["RankTask", ...]:
@@ -97,7 +90,7 @@ class GeneratorModel(Protocol):
 
         ``work`` is the engine's :class:`~repro.engine.execute._RankWork`;
         the model reads its ``spec`` / ``b_local`` / ``c`` / ``c_ref`` /
-        ``col_base`` / ``max_tile_entries`` / ``kernel`` fields.  Tiles
+        ``col_base`` / ``max_tile_entries`` fields.  Tiles
         must arrive pre-offset (global coordinates) and pre-transform —
         the worker applies loop removal and scramble afterwards.
         """

@@ -3,9 +3,8 @@
 This is the paper's generator, unchanged, behind the
 :class:`~repro.models.base.GeneratorModel` protocol: each rank forms
 ``Ap = Bp ⊗ C`` through the bounded-memory tiled kernel
-(:func:`repro.kron.kron_tiles`, optionally numba-jitted via
-``repro.kron._fast``) and yields its tiles with the global column offset
-already applied.  Output bytes are identical to the pre-model engine —
+(:func:`repro.kron.kron_tiles`) and yields its tiles with the global
+column offset already applied.  Output bytes are identical to the pre-model engine —
 the refactor's central acceptance criterion.
 
 Rank decomposition and fingerprints stay where they always lived: the
@@ -28,7 +27,6 @@ from typing import TYPE_CHECKING, ClassVar, Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.errors import GenerationError
-from repro.kron import _fast
 from repro.kron.tiles import kron_tiles
 
 if TYPE_CHECKING:
@@ -43,9 +41,6 @@ class DeterministicKronModel:
     shared_factor: ClassVar[bool] = True
     #: ``nnz(Bp) · nnz(C)`` — every index pair yields exactly one entry.
     exact_prediction: ClassVar[bool] = True
-
-    def resolve_kernel(self, request: str) -> str:
-        return _fast.resolve_kernel(request)
 
     def rank_tasks(
         self, n_ranks: int, *, allow_empty_ranks: bool = False
@@ -75,7 +70,7 @@ class DeterministicKronModel:
             c = attach_shared_coo(work.c_ref)
         offset = work.col_base * c.shape[1]
         for rows, cols, vals in kron_tiles(
-            work.b_local, c, work.max_tile_entries, kernel=work.kernel
+            work.b_local, c, work.max_tile_entries
         ):
             yield rows, cols + offset, vals
 

@@ -39,11 +39,7 @@ from typing import TYPE_CHECKING, ClassVar, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import (
-    GenerationError,
-    KernelUnavailableError,
-    PartitionError,
-)
+from repro.errors import GenerationError, PartitionError
 from repro.runtime.checkpoint import payload_checksum
 
 if TYPE_CHECKING:
@@ -181,14 +177,6 @@ class StochasticKroneckerModel:
         return doc
 
     # -- engine protocol -----------------------------------------------------
-    def resolve_kernel(self, request: str) -> str:
-        if request == "native":
-            raise KernelUnavailableError(
-                f"the {self.name!r} model has no native kernel; request "
-                "'numpy' or 'auto'"
-            )
-        return "numpy"
-
     def rank_tasks(
         self, n_ranks: int, *, allow_empty_ranks: bool = False
     ) -> Tuple["RankTask", ...]:

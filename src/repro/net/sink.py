@@ -501,7 +501,7 @@ def execute_over_transport(
     registered name (``"inproc"``, ``"socket"``) or an explicit
     ``(producer, collector)`` endpoint pair.  ``config`` is the
     engine's :class:`~repro.engine.config.RunConfig` (backend,
-    scheduler, kernel), forwarded to
+    scheduler), forwarded to
     :func:`~repro.engine.execute.execute`.  The returned
     :class:`~repro.engine.execute.EngineResult` carries the inner sink's
     result (via the RESULT frame), so callers see exactly what a local

@@ -97,10 +97,6 @@ class ParallelKroneckerGenerator:
         (:class:`~repro.engine.scheduler.StaticScheduler`), a
         :class:`~repro.engine.scheduler.WorkQueueScheduler` submits the
         longest first (output identical).
-    kernel:
-        Generation kernel request (``"auto"``/``"numpy"``/``"native"``),
-        recorded on the plan; ``execute`` resolves ``"auto"`` once per
-        run.
     """
 
     def __init__(
@@ -118,13 +114,11 @@ class ParallelKroneckerGenerator:
         executor: RankExecutor | None = None,
         scheduler=None,
         failure_injector: Callable[[int, int], None] | None = None,
-        kernel: str = "auto",
     ) -> None:
         self.chain = chain
         self.cluster = cluster
         self.backend = resolve_backend(backend)
         self.scheduler = scheduler
-        self.kernel = kernel
         self.plan: PartitionPlan = partition_bc(chain, cluster, split_index=split_index)
         self._c_matrix = self.plan.c_chain.materialize()
         self.metrics = metrics
@@ -165,7 +159,6 @@ class ParallelKroneckerGenerator:
                 split_index=self.plan.split_index,
             ),
             expected_nnz=self.chain.nnz,
-            kernel=self.kernel,
             c=c,
         )
         result = engine_execute(
@@ -270,8 +263,8 @@ def generate_design_parallel(
     on ``n_ranks`` simulated ranks, removing the design self-loop.
 
     ``config`` (:class:`~repro.engine.config.RunConfig`) shapes the run:
-    backend, scheduler, memory budget, checkpoint directory, resume,
-    kernel — ``scramble_seed`` only together with ``checkpoint_dir``,
+    backend, scheduler, memory budget, checkpoint directory, resume —
+    ``scramble_seed`` only together with ``checkpoint_dir``,
     since the in-memory path returns the unrelabeled graph.
 
     With a checkpoint directory, generation runs through the crash-safe
@@ -303,7 +296,6 @@ def generate_design_parallel(
                 memory_budget_entries=budget,
                 resume=cfg.resume,
                 scramble_seed=cfg.scramble_seed,
-                kernel=cfg.kernel,
             ),
             max_retries=max_retries,
             metrics=metrics,
@@ -329,7 +321,6 @@ def generate_design_parallel(
         metrics=metrics,
         events=events,
         scheduler=cfg.scheduler,
-        kernel=cfg.kernel,
     )
     loop_vertex = design.loop_vertex if design.self_loop is not SelfLoop.NONE else None
     return gen.generate_graph(remove_loop_at=loop_vertex)

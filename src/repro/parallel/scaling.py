@@ -94,7 +94,6 @@ def measure_rank_rate(
     max_retries: int = 0,
     rank_timeout_s: float | None = None,
     metrics: MetricsRegistry | None = None,
-    kernel: str = "auto",
 ) -> ScalingPoint:
     """Generate ``chain`` on ``cluster`` and time every rank's kernel."""
     gen = ParallelKroneckerGenerator(
@@ -105,7 +104,6 @@ def measure_rank_rate(
         max_retries=max_retries,
         rank_timeout_s=rank_timeout_s,
         metrics=metrics,
-        kernel=kernel,
     )
     blocks = gen.generate_blocks()
     times = [b.elapsed_s for b in blocks]
@@ -131,8 +129,8 @@ def run_scaling_study(
 ) -> ScalingStudy:
     """Sweep ``rank_counts`` and collect the scaling curve for ``chain``.
 
-    ``config`` honours ``backend``, ``scheduler``,
-    ``memory_budget_entries``, and ``kernel``.
+    ``config`` honours ``backend``, ``scheduler``, and
+    ``memory_budget_entries``.
     """
     cfg = resolve_run_config(
         "run_scaling_study",
@@ -158,7 +156,6 @@ def run_scaling_study(
                 max_retries=max_retries,
                 rank_timeout_s=rank_timeout_s,
                 metrics=metrics,
-                kernel=cfg.kernel,
             )
         )
     return study

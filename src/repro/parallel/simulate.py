@@ -87,8 +87,8 @@ def simulate_rate_curve(
     histogram and the skip count in ``simulate.points_skipped``.
 
     ``config`` shapes the run: its ``memory_budget_entries`` is this
-    function's block budget (default 40M entries), and ``backend`` /
-    ``kernel`` shape the timed kernel runs.
+    function's block budget (default 40M entries), and ``backend``
+    shapes the timed kernel runs.
     """
     cfg = resolve_run_config(
         "simulate_rate_curve",
@@ -188,7 +188,6 @@ def simulate_rate_curve(
             ),
             num_vertices=chain.num_vertices,
             memory_budget_entries=budget,
-            kernel=cfg.kernel,
             c=c,
         )
         best = float("inf")

@@ -161,7 +161,6 @@ def generate_to_disk(
             n_ranks,
             memory_budget_entries=budget,
             scramble_seed=cfg.scramble_seed,
-            kernel=cfg.kernel,
         )
     else:
         plan = plan_from_design(
@@ -169,7 +168,6 @@ def generate_to_disk(
             n_ranks,
             memory_budget_entries=budget,
             scramble_seed=cfg.scramble_seed,
-            kernel=cfg.kernel,
         )
     sink = ShardSink(
         directory, prefix=prefix, resume=cfg.resume, crash_hook=crash_hook
@@ -342,7 +340,7 @@ def streamed_degree_distribution(
 
     ``config`` honours ``backend``, ``scheduler`` (default: one rank in
     flight, like :func:`generate_to_disk`), ``memory_budget_entries``,
-    ``kernel``, and ``model``.
+    and ``model``.
     """
     cfg = resolve_run_config(
         "streamed_degree_distribution",
@@ -356,13 +354,9 @@ def streamed_degree_distribution(
     )
     model = resolve_model(cfg.model, design=design)
     if model is not None:
-        plan = plan_from_model(
-            model, n_ranks, memory_budget_entries=budget, kernel=cfg.kernel
-        )
+        plan = plan_from_model(model, n_ranks, memory_budget_entries=budget)
     else:
-        plan = plan_from_design(
-            design, n_ranks, memory_budget_entries=budget, kernel=cfg.kernel
-        )
+        plan = plan_from_design(design, n_ranks, memory_budget_entries=budget)
     result = engine_execute(
         plan,
         DegreeSink(),

@@ -8,8 +8,6 @@ from repro.catalog import (
     CATALOG_SCHEMA_VERSION,
     DesignCatalog,
     DesignProperties,
-    SpectrumMoments,
-    TriangleSummary,
     analytic_properties,
     catalog_key,
     diff_properties,

@@ -152,6 +152,13 @@ class TestGenerateCommand:
         with pytest.raises(SystemExit):
             main(["generate", "3", "4", "--backend", "smoke-signals"])
 
+    def test_generate_kernel_flag_rejected(self, capsys):
+        # One kron kernel, so no flag selects one.
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "3", "4", "5", "--kernel", "numpy"])
+        assert exc.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_passing_validation(self, capsys):

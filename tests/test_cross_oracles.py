@@ -6,13 +6,12 @@ more adversarial than the per-module unit tests.
 """
 
 import numpy as np
-import pytest
 
 from repro.design import chain_properties
 from repro.graphs import Graph
 from repro.kron import KroneckerChain, kron, kron_chain
-from repro.semiring import BOOL_OR_AND, MAX_PLUS, MIN_PLUS, PLUS_TIMES
-from repro.sparse import from_dense, matrix_power, to_dense
+from repro.semiring import BOOL_OR_AND, MAX_PLUS, MIN_PLUS
+from repro.sparse import from_dense, matrix_power
 from repro.sparse.convert import to_scipy
 from tests.conftest import random_dense
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.design import (
-    ChainProperties,
     DegreeDistribution,
     chain_properties,
     corrected_degree_distribution,

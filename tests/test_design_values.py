@@ -1,6 +1,5 @@
 """Unit tests for exact value (edge-weight) distributions."""
 
-import numpy as np
 import pytest
 
 from repro.design import ValueDistribution, total_weight_of_chain, value_distribution

@@ -13,6 +13,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.design import PowerLawDesign
 from repro.engine import (
@@ -41,6 +43,8 @@ from repro.runtime import (
     RankEvents,
     SimulatedCrash,
 )
+from repro.semiring import MAX_PLUS, PLUS_TIMES
+from repro.sparse import COOMatrix, from_dense
 
 
 def _triples(m):
@@ -65,21 +69,78 @@ class TestTileRowRanges:
             list(tile_row_ranges(np.array([1, 1]), 0))
 
 
+def _assert_tiles_equal_whole_kernel(bp, c, budget, semiring=PLUS_TIMES):
+    """Concatenated ``kron_tiles`` triples == ``kron(bp, c)`` triples."""
+    tiles = list(kron_tiles(bp, c, budget, semiring))
+    ref = _triples(kron(bp, c, semiring))
+    if not tiles:
+        assert all(len(r) == 0 for r in ref)
+        return
+    for i, want in enumerate(ref):
+        np.testing.assert_array_equal(
+            np.concatenate([t[i] for t in tiles]), want
+        )
+
+
+def _tile_cases():
+    """Inputs for the tiles/whole-block identity: two stars over a range
+    of budgets, then signed random factors and empty factors under
+    both semirings at budgets from one entry to unbounded."""
+    star5, star4 = star_adjacency(5), star_adjacency(4)
+    cases = [
+        pytest.param(star5, star4, PLUS_TIMES, budget, id=str(budget))
+        for budget in (None, 1, 3, 6, 7, 8, 24, 1000)
+    ]
+    rng = np.random.default_rng(1803)
+
+    def signed():
+        shape = rng.integers(2, 7, size=2)
+        return from_dense(rng.integers(-3, 4, size=shape).astype(np.int64))
+
+    pairs = [(f"random{i}", signed(), signed()) for i in range(3)]
+    empty = COOMatrix((3, 3), [], [], [])
+    pairs += [("empty-left", empty, star4), ("empty-right", star4, empty)]
+    for name, bp, c in pairs:
+        for semiring in (PLUS_TIMES, MAX_PLUS):
+            for budget in (None, 1, 2, 5, 64):
+                cases.append(
+                    pytest.param(
+                        bp, c, semiring, budget,
+                        id=f"{name}-{semiring.name}-{budget}",
+                    )
+                )
+    return cases
+
+
+_DENSE = st.lists(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+    min_size=1,
+    max_size=4,
+).filter(lambda rows: len({len(r) for r in rows}) == 1)
+
+
 class TestKronTiles:
     B = star_adjacency(5)
     C = star_adjacency(4)
 
-    @pytest.mark.parametrize("budget", [None, 1, 3, 6, 7, 8, 24, 1000])
-    def test_concatenated_tiles_equal_whole_kernel(self, budget):
-        reference = kron(self.B, self.C)
-        tiles = list(kron_tiles(self.B, self.C, budget))
-        rows = np.concatenate([t[0] for t in tiles])
-        cols = np.concatenate([t[1] for t in tiles])
-        vals = np.concatenate([t[2] for t in tiles])
-        ref_rows, ref_cols, ref_vals = _triples(reference)
-        np.testing.assert_array_equal(rows, ref_rows)
-        np.testing.assert_array_equal(cols, ref_cols)
-        np.testing.assert_array_equal(vals, ref_vals)
+    @pytest.mark.parametrize("bp, c, semiring, budget", _tile_cases())
+    def test_concatenated_tiles_equal_whole_kernel(self, bp, c, semiring, budget):
+        _assert_tiles_equal_whole_kernel(bp, c, budget, semiring)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=_DENSE,
+        b=_DENSE,
+        semiring=st.sampled_from([PLUS_TIMES, MAX_PLUS]),
+        budget=st.sampled_from([None, 1, 2, 5, 64]),
+    )
+    def test_hypothesis_tiles_equal_whole_kernel(self, a, b, semiring, budget):
+        _assert_tiles_equal_whole_kernel(
+            from_dense(np.asarray(a, dtype=np.int64)),
+            from_dense(np.asarray(b, dtype=np.int64)),
+            budget,
+            semiring,
+        )
 
     def test_tile_sizes_respect_budget_when_rows_fit(self):
         # star(5) row 0 has 5 entries -> worst row costs 5 * nnz(C) = 40.
@@ -88,8 +149,6 @@ class TestKronTiles:
             assert len(rows) <= budget
 
     def test_empty_factor_yields_nothing(self):
-        from repro.sparse import COOMatrix
-
         empty = COOMatrix((3, 3), [], [], [])
         assert list(kron_tiles(empty, self.C, 4)) == []
 

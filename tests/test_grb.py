@@ -14,7 +14,7 @@ from repro.grb import (
     sssp_min_plus,
     triangle_count_grb,
 )
-from repro.semiring import BOOL_OR_AND, MIN_PLUS, PLUS_TIMES
+from repro.semiring import BOOL_OR_AND, MIN_PLUS
 from repro.sparse import from_dense, from_edges
 from tests.conftest import random_dense
 

@@ -7,7 +7,6 @@ exact predictions as the single source of truth throughout.
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import (

@@ -23,18 +23,15 @@ from repro.engine import (
     StaticScheduler,
     WorkQueueScheduler,
     execute,
-    plan_from_design,
     plan_from_model,
 )
 from repro.errors import (
     GenerationError,
-    KernelUnavailableError,
     PartitionError,
     ResumeMismatchError,
 )
 from repro.models import (
     DETERMINISTIC_KRON,
-    GRAPH500_INITIATOR,
     MODEL_CHOICES,
     GeneratorModel,
     NoisySKGModel,
@@ -225,11 +222,6 @@ class TestPlanFromModel:
         assert plan.partition is None
         with pytest.raises(GenerationError, match="no shared right factor"):
             plan.c_matrix
-
-    def test_native_kernel_refused(self):
-        plan = plan_from_model(SKG, 2, kernel="native")
-        with pytest.raises(KernelUnavailableError, match="native"):
-            execute(plan, ShardSink("/nonexistent-never-created"))
 
     def test_kron_rank_tasks_delegated_to_partition_builders(self):
         with pytest.raises(GenerationError):
@@ -433,13 +425,20 @@ class TestModelCLI:
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         for needle in (
-            "kernels:",
             "backends:",
             "start methods:",
             "transports:",
             "generator models: kron, skg, noisy-skg",
         ):
             assert needle in out
+        # Version and python lines, then exactly these capability lines.
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines[2:]] == [
+            "backends",
+            "start methods",
+            "transports",
+            "generator models",
+        ]
 
     def test_generate_model_shards_and_seed(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,6 +1,5 @@
 """Unit tests for the parallel generation subsystem."""
 
-import numpy as np
 import pytest
 
 from repro.design import PowerLawDesign

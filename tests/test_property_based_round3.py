@@ -1,7 +1,6 @@
 """Property-based tests, round 3: joints, scrambles, samples, I/O."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

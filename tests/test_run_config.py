@@ -14,7 +14,12 @@ import warnings
 
 import pytest
 
-from repro import PowerLawDesign, RunConfig, VirtualCluster
+from repro import (
+    ParallelKroneckerGenerator,
+    PowerLawDesign,
+    RunConfig,
+    VirtualCluster,
+)
 from repro.engine import DegreeSink, execute, plan_from_design
 from repro.engine.config import resolve_run_config
 from repro.errors import GenerationError
@@ -37,22 +42,21 @@ class TestRunConfigDataclass:
         assert cfg.checkpoint_dir is None
         assert cfg.resume is False
         assert cfg.scramble_seed is None
-        assert cfg.kernel == "auto"
+        assert cfg.model is None
         assert cfg.non_default_fields() == ()
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            RunConfig().kernel = "numpy"
+            RunConfig().resume = True
 
     def test_replace_round_trip(self):
-        cfg = RunConfig(memory_budget_entries=BUDGET, kernel="numpy")
-        again = cfg.replace(kernel="auto").replace(kernel="numpy")
+        cfg = RunConfig(memory_budget_entries=BUDGET, scramble_seed=7)
+        again = cfg.replace(scramble_seed=None).replace(scramble_seed=7)
         assert again == cfg
-        assert cfg.non_default_fields() == ("kernel", "memory_budget_entries")
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(GenerationError, match="unknown kernel"):
-            RunConfig(kernel="fortran")
+        assert cfg.non_default_fields() == (
+            "memory_budget_entries",
+            "scramble_seed",
+        )
 
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(GenerationError, match="must be positive"):
@@ -133,6 +137,11 @@ class TestDriversHonourConfig:
     def test_drivers_reject_mixed_styles(self, tmp_path):
         plan = plan_from_design(DESIGN, 2)
         calls = [
+            lambda: RunConfig(kernel="numpy"),
+            lambda: plan_from_design(DESIGN, 2, kernel="numpy"),
+            lambda: ParallelKroneckerGenerator(
+                DESIGN.to_chain(), VirtualCluster(2), kernel="numpy"
+            ),
             lambda: execute(plan, DegreeSink(), config=RunConfig(), backend="serial"),
             lambda: generate_to_disk(
                 DESIGN, 2, tmp_path, config=RunConfig(), memory_budget_entries=BUDGET

@@ -136,12 +136,9 @@ class TestEngineZeroCopy:
     def test_zero_copy_matches_pickled_and_serial(self):
         serial = self._blocks(None)
         zero_copy = self._blocks(MultiprocessingBackend(processes=2))
-        pickled = self._blocks(
-            MultiprocessingBackend(processes=2, zero_copy=False)
-        )
-        for s, z, p in zip(serial, zero_copy, pickled):
+        assert len(zero_copy) == len(serial)
+        for s, z in zip(serial, zero_copy):
             assert s.block.equal(z.block)
-            assert s.block.equal(p.block)
 
     def test_no_segments_survive_a_clean_run(self):
         before = shm_segment_names()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError, ShapeError
-from repro.semiring import BOOL_OR_AND, MIN_PLUS, PLUS_TIMES
+from repro.semiring import BOOL_OR_AND, MIN_PLUS
 from repro.sparse import kernels
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.design import PowerLawDesign
-from repro.engine import RunConfig, ShardSink, execute, plan_from_model
+from repro.engine import ShardSink, execute, plan_from_model
 from repro.errors import ValidationError
 from repro.models import NoisySKGModel, StochasticKroneckerModel
 from repro.parallel import generate_to_disk

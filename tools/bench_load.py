@@ -17,7 +17,7 @@ request a cache hit.
 
 Measurements append to the ``BENCH_serve.json`` trajectory (created on
 first run, never overwritten at the repo root; always copied into
-``--artifact-dir`` for CI upload).  ``tools/bench_smoke.py`` guard 11
+``--artifact-dir`` for CI upload).  ``tools/bench_smoke.py`` guard 10
 reuses :func:`run_load` and enforces the p99 floor against the
 recorded trajectory.
 """

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Benchmark smoke target: ``python tools/bench_smoke.py``.
 
-Eleven cheap CI guards:
+Ten cheap CI guards:
 
 1. the Fig.-3 scaling benchmark at toy scale (the metrics-snapshot test
    only), asserting a machine-readable metrics JSON was produced — the
@@ -25,18 +25,7 @@ Eleven cheap CI guards:
    *and* ``manifest.json`` — is byte-identical to a direct
    ``ShardSink`` run and that frames actually crossed the wire — the
    distributed path stays exact;
-7. the native-kernel guard: shards generated with ``kernel="native"``
-   must be byte-identical to the pure-NumPy oracle at every memory
-   budget under both schedulers (without numba the native body runs
-   as plain Python under the ``REPRO_NATIVE_ALLOW_PYTHON`` hook — same
-   code, same bytes), and the multiprocessing-path edges/sec for the
-   baseline (pickled tiles + numpy kernel) and native (shared-memory
-   tiles + auto kernel) configurations is measured and appended to the
-   recorded ``BENCH_baseline.json`` / ``BENCH_native.json``
-   trajectories.  ``--require-native`` (the CI native-probe leg)
-   additionally demands real jitted kernels and a >=5x edges/sec win
-   over the same-machine baseline measurement;
-8. the elastic-churn guard: a streamed run on an ``ElasticWorkerPool``
+7. the elastic-churn guard: a streamed run on an ``ElasticWorkerPool``
    that loses two workers mid-run (one loud revocation, one silent
    spot-style kill detected by lease expiry) and gains two replacements
    must produce shards and manifest byte-identical to the same run on a
@@ -44,14 +33,14 @@ Eleven cheap CI guards:
    metrics (``engine.revocations``, ``engine.reassigned_tasks``,
    ``engine.lease_expiries``, ``engine.workers_active``) recorded —
    elasticity stays free of correctness cost and cheap in time;
-9. the model-determinism guard: a stochastic-Kronecker (``skg``) run
+8. the model-determinism guard: a stochastic-Kronecker (``skg``) run
    executed twice with the same seed must produce byte-identical shards
    and manifest, a different seed must change the bytes, and the
    per-model edges/sec (``kron``/``skg``/``noisy-skg`` at a common toy
    scale) is appended to the recorded ``BENCH_models.json`` trajectory —
    counter-based seeding stays reproducible and the model layer's
    throughput stays observable;
-10. the catalog-cache guard: a warm ``DesignCatalog`` lookup (one
+9. the catalog-cache guard: a warm ``DesignCatalog`` lookup (one
    cached read) must beat the cold analytic compute of the same
    stochastic-model record by >=10x and return a byte-identical cache
    entry; a corrupted (bit-flipped) entry must be silently recomputed
@@ -59,7 +48,7 @@ Eleven cheap CI guards:
    cold/warm latencies and speedup are appended to the recorded
    ``BENCH_catalog.json`` trajectory — the design-server latency
    contract (a warm lookup is a single cached read) stays measured;
-11. the serve-latency guard: 32 concurrent clients issuing warm
+10. the serve-latency guard: 32 concurrent clients issuing warm
    ``GET /v1/design/{digest}`` queries against an in-process
    :class:`repro.serve.DesignServer` must all be served from the
    catalog cache (zero engine executions during the measured phase)
@@ -459,173 +448,8 @@ def _load_trajectory(path: Path) -> list[dict]:
         return json.load(fh)["trajectory"]
 
 
-def smoke_kernel_identity(
-    root: Path, artifact_dir: Path | None, require_native: bool
-) -> int:
-    """Guard 7: kernel byte-identity and the BENCH_*.json trajectory."""
-    sys.path.insert(0, str(root / "src"))
-    from repro import PowerLawDesign, RunConfig, VirtualCluster
-    from repro.engine import WorkQueueScheduler
-    from repro.kron import _fast
-    from repro.parallel import ParallelKroneckerGenerator, generate_to_disk
-    from repro.parallel.backends import MultiprocessingBackend
-
-    if require_native and not _fast.numba_available():
-        print(
-            "bench-smoke: --require-native, but the numba kernels are not "
-            "jitted in this environment",
-            file=sys.stderr,
-        )
-        return 1
-
-    design = PowerLawDesign([3, 4, 5], "center")
-    n_ranks = 4
-    budgets = (100, 500, None)
-
-    # Byte-identity: native vs the NumPy oracle at every budget, both
-    # schedulers.  Without real numba, borrow the plain-Python fallback
-    # so the native code path still runs (same bodies, same bytes).
-    hooked = False
-    if not _fast.native_available():
-        os.environ[_fast.ALLOW_PYTHON_ENV] = "1"
-        _fast._reset()
-        hooked = True
-    try:
-        with tempfile.TemporaryDirectory(prefix="repro-kernel-smoke-") as tmp:
-            for budget in budgets:
-                for label, make_scheduler in (
-                    ("static", lambda: None),
-                    ("queue", WorkQueueScheduler),
-                ):
-                    dirs = {}
-                    for kernel in ("numpy", "native"):
-                        out = Path(tmp) / f"{kernel}-{budget}-{label}"
-                        generate_to_disk(
-                            design,
-                            n_ranks,
-                            out,
-                            config=RunConfig(
-                                memory_budget_entries=budget,
-                                scheduler=make_scheduler(),
-                                kernel=kernel,
-                            ),
-                        )
-                        dirs[kernel] = out
-                    for name in [
-                        f"edges.{r}.tsv" for r in range(n_ranks)
-                    ] + ["manifest.json"]:
-                        if (dirs["numpy"] / name).read_bytes() != (
-                            dirs["native"] / name
-                        ).read_bytes():
-                            print(
-                                f"bench-smoke: {name} differs between numpy "
-                                f"and native kernels (budget {budget}, "
-                                f"{label} scheduler)",
-                                file=sys.stderr,
-                            )
-                            return 1
-    finally:
-        if hooked:
-            os.environ.pop(_fast.ALLOW_PYTHON_ENV, None)
-            _fast._reset()
-    checked = len(budgets) * 2
-    print(
-        f"bench-smoke: OK — native kernel byte-identical to the NumPy "
-        f"oracle across {checked} budget×scheduler runs "
-        f"(jitted={_fast.numba_available()})",
-        file=sys.stderr,
-    )
-
-    # Trajectory: edges/sec on the multiprocessing assembly path.  The
-    # baseline pickles every tile with the numpy kernel; the native
-    # configuration uses shared-memory handoff with kernel resolution
-    # left to "auto" (numba-jitted where available).
-    bench_design = PowerLawDesign([3, 4, 5, 9], "center")
-    chain = bench_design.to_chain()
-
-    def measure(kernel: str, zero_copy: bool) -> dict:
-        best = float("inf")
-        edges = 0
-        for _ in range(3):
-            backend = MultiprocessingBackend(processes=2, zero_copy=zero_copy)
-            gen = ParallelKroneckerGenerator(
-                chain,
-                VirtualCluster(8),
-                backend=backend,
-                kernel=kernel,
-            )
-            t0 = time.perf_counter()
-            blocks = gen.generate_blocks()
-            best = min(best, time.perf_counter() - t0)
-            edges = sum(b.nnz for b in blocks)
-        return {
-            "edges": edges,
-            "edges_per_second": edges / best,
-            "wall_s": best,
-            "kernel": kernel,
-            "zero_copy": zero_copy,
-            "kernels_jitted": _fast.numba_available(),
-        }
-
-    measured = {
-        "baseline": measure("numpy", zero_copy=False),
-        "native": measure("auto", zero_copy=True),
-    }
-    ratio = (
-        measured["native"]["edges_per_second"]
-        / measured["baseline"]["edges_per_second"]
-    )
-    for name, current in measured.items():
-        bench_path = root / f"BENCH_{name}.json"
-        trajectory = _load_trajectory(bench_path) + [current]
-        document = {
-            "schema": 1,
-            "command": "bench-smoke kernel-identity",
-            "design": list(bench_design.star_sizes),
-            "n_ranks": 8,
-            "workers": 2,
-            "trajectory": trajectory,
-        }
-        if len(trajectory) > 1:
-            recorded = trajectory[-2]["edges_per_second"]
-            print(
-                f"bench-smoke: {name} at "
-                f"{current['edges_per_second']:,.0f} edges/s "
-                f"(recorded {recorded:,.0f})",
-                file=sys.stderr,
-            )
-        if not bench_path.exists():
-            # First run on a fresh checkout records the history seed.
-            bench_path.write_text(
-                json.dumps(document, indent=2, sort_keys=True) + "\n"
-            )
-            print(f"bench-smoke: recorded {bench_path.name}", file=sys.stderr)
-        if artifact_dir is not None:
-            artifact_dir.mkdir(parents=True, exist_ok=True)
-            out = artifact_dir / bench_path.name
-            out.write_text(
-                json.dumps(document, indent=2, sort_keys=True) + "\n"
-            )
-            print(f"bench-smoke: wrote trajectory to {out}", file=sys.stderr)
-    if require_native and ratio < 5.0:
-        print(
-            f"bench-smoke: native path only {ratio:.2f}x the baseline "
-            "edges/sec — below the 5x floor",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"bench-smoke: OK — multiprocessing path at "
-        f"{measured['native']['edges_per_second']:,.0f} edges/s native vs "
-        f"{measured['baseline']['edges_per_second']:,.0f} baseline "
-        f"({ratio:.2f}x)",
-        file=sys.stderr,
-    )
-    return 0
-
-
 def smoke_elastic_churn(root: Path, artifact_dir: Path | None) -> int:
-    """Guard 8: revoke-2-add-2 churn must cost nothing in bytes and at
+    """Guard 7: revoke-2-add-2 churn must cost nothing in bytes and at
     most 2.5x the static wall-clock."""
     sys.path.insert(0, str(root / "src"))
     from repro.design import PowerLawDesign
@@ -749,7 +573,7 @@ def smoke_elastic_churn(root: Path, artifact_dir: Path | None) -> int:
 
 
 def smoke_model_determinism(root: Path, artifact_dir: Path | None) -> int:
-    """Guard 9: SKG seed determinism and the per-model BENCH trajectory."""
+    """Guard 8: SKG seed determinism and the per-model BENCH trajectory."""
     sys.path.insert(0, str(root / "src"))
     from repro.design import PowerLawDesign
     from repro.engine import ShardSink, execute, plan_from_design, plan_from_model
@@ -858,7 +682,7 @@ def smoke_model_determinism(root: Path, artifact_dir: Path | None) -> int:
 
 
 def smoke_catalog_cache(root: Path, artifact_dir: Path | None) -> int:
-    """Guard 10: warm catalog lookups and corrupt-entry recompute."""
+    """Guard 9: warm catalog lookups and corrupt-entry recompute."""
     sys.path.insert(0, str(root / "src"))
     from repro.catalog import DesignCatalog, key_digest
     from repro.catalog.record import SOURCE_ANALYTIC
@@ -983,7 +807,7 @@ def smoke_catalog_cache(root: Path, artifact_dir: Path | None) -> int:
 
 
 def smoke_serve_latency(root: Path, artifact_dir: Path | None) -> int:
-    """Guard 11: warm design queries under concurrency stay flat.
+    """Guard 10: warm design queries under concurrency stay flat.
 
     32 concurrent clients hammer the warm ``GET /v1/design/{digest}``
     path of an in-process :class:`repro.serve.DesignServer`.  Every
@@ -1073,13 +897,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         help="directory to write metrics snapshots for CI upload",
     )
-    parser.add_argument(
-        "--require-native",
-        action="store_true",
-        help="fail unless the numba kernels are actually jitted and the "
-        "native multiprocessing path clears the 5x edges/sec floor "
-        "(the CI native-probe leg)",
-    )
     args = parser.parse_args(argv)
     root = Path(__file__).resolve().parent.parent
     with tempfile.TemporaryDirectory(prefix="repro-bench-smoke-") as out_dir:
@@ -1132,9 +949,6 @@ def main(argv: list[str] | None = None) -> int:
         lambda: smoke_degree_reader(root),
         lambda: smoke_straggler_queue(root, args.artifact_dir),
         lambda: smoke_socket_sink(root, args.artifact_dir),
-        lambda: smoke_kernel_identity(
-            root, args.artifact_dir, args.require_native
-        ),
         lambda: smoke_elastic_churn(root, args.artifact_dir),
         lambda: smoke_model_determinism(root, args.artifact_dir),
         lambda: smoke_catalog_cache(root, args.artifact_dir),
