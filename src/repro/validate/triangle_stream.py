@@ -13,33 +13,49 @@ and the paper's exact designs both place a substantial fraction of
 edges inside triangles.  :func:`compare_triangle_participation` flags
 exactly that deficiency.
 
-Algorithm (degree-ordered wedge closure, blocked):
+Algorithm (degree-ordered wedge closure over sorted CSR, blocked; the
+edge-local statistics of Sanders–Pearce–La Fond, arXiv:1803.09021):
 
-1. *Pass 0* streams the edges once and histograms the canonical
-   out-counts (every edge oriented ``u → v`` with ``u < v``, loops
-   dropped), an O(V) array.
-2. The vertex range is greedily cut into **blocks** whose summed
-   out-counts stay within half the budget, so any two blocks' oriented
-   adjacency fits in the budget together (a single hub vertex may
-   exceed the half-budget on its own — then, as in the engine's tiling
-   story, peak memory is ``max(budget, largest single out-list × 2)``).
+1. *Pass 0* streams the edges once and counts every vertex's stored
+   incidence (the non-loop entries touching it), an O(V) array.  It
+   infers the vertex count, or checks every endpoint against the given
+   one.  Vertices are ranked by ``(incidence, id)`` and every edge is
+   oriented from its lower- to its higher-ranked endpoint, so a hub's
+   edges belong to its lower-degree neighbours: every out-list stays
+   short, and vertex labels only break ties in incidence.
+2. *Pass 1* counts the oriented out-lists in rank space (duplicates
+   included — a safe overestimate for packing) and greedily cuts the
+   rank range into **blocks** whose counts stay within half the
+   budget, so any two blocks' adjacency fits in the budget together.
+   A single hub vertex may exceed the half budget on its own; then, as
+   in the engine's tiling story, peak memory is
+   ``max(budget, 2 × largest out-list)``.
 3. For each block pair ``(A, B)`` with ``B ≥ A`` the stream is scanned
-   once more, keeping only edges whose canonical source lands in A or
-   B (sorted, deduplicated CSR slabs).  Every wedge ``v, w ∈ out(u)``,
-   ``v < w`` with ``u ∈ A`` and ``v ∈ B`` is closed by a binary search
-   for ``w`` in ``out(v)`` — which lives in B because ``v`` is its
-   canonical source.  Each triangle ``u < v < w`` is therefore found
+   once more, keeping only edges whose oriented source lands in A or
+   B, deduplicated by sort into CSR slabs keyed ``src·n + dst``.  The
+   wedges ``v, w ∈ out(u)``, ``v < w`` with ``u ∈ A`` and ``v ∈ B`` are
+   expanded by slicing A's rows, at most as many wedges at a time as
+   the pair holds entries (so never more than the budget, hub rows
+   aside), and closed by one ``searchsorted`` of ``v·n + w`` over B's
+   keys — ``out(v)`` lives in B because ``v`` is its source.
+   Each triangle ``u < v < w`` (in rank order) is therefore found
    exactly once, in the pair ``(block(u), block(v))``.
 
-Per-vertex counts live in one O(V) array; per-edge counts in a sparse
-dict keyed by canonical edge (only edges inside at least one triangle
-ever get an entry).
+``stream_passes`` is ``2 + k(k + 1)/2`` for ``k`` blocks, and
+``peak_entries`` records the most deduplicated entries one pair held.
+Per-edge support lives in one int64 array per block, indexed like the
+block's CSR entries: O(distinct edges), outside the adjacency budget
+like the O(V) per-vertex array.  A closed wedge adds one to each of its
+three edges; once a block's last pair is done, each of its edges hands
+its support to both endpoints (a triangle holds two edges at each of
+its vertices) and the block's support joins the edge histogram.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isqrt
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -50,6 +66,9 @@ from repro.io.tsv import READ_CHUNK_BYTES, iter_tsv_triples
 
 #: Default adjacency-entry budget, matching the engine's per-rank default.
 DEFAULT_TRIANGLE_BUDGET_ENTRIES = 50_000_000
+
+#: The largest vertex count whose closure keys ``src·n + dst`` fit int64.
+MAX_TRIANGLE_VERTICES = isqrt(2**63 - 1)
 
 def iter_shard_edges(
     directory: str | Path, *, chunk_bytes: int = READ_CHUNK_BYTES
@@ -131,64 +150,147 @@ class _EdgeSource:
         return iter(self._chunks)
 
 
-def _canonical(
-    rows: np.ndarray, cols: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Orient ``u → v`` with ``u < v`` and drop self-loops (symmetric
-    kron output stores both directions; deduplication happens per block)."""
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_TRIANGLE_VERTICES:
+        raise ValidationError(
+            f"num_vertices={n:,} is too large for the closure key "
+            f"src·n + dst (n² must stay below 2^63)"
+        )
+
+
+def _rank_vertices(
+    source: _EdgeSource, num_vertices: Optional[int]
+) -> np.ndarray:
+    """Pass 0: ``rank[x]`` is x's position in ``(incidence, id)`` order.
+
+    Checks every non-loop endpoint against ``num_vertices``, or infers
+    the vertex count from the largest one.
+    """
+    infer = num_vertices is None
+    incidence = np.zeros(0 if infer else num_vertices, np.int64)
+    for rows, cols in source:
+        keep = rows != cols
+        ends = np.concatenate((rows[keep], cols[keep]))
+        if not len(ends):
+            continue
+        if int(ends.min()) < 0:
+            raise ValidationError(f"negative edge endpoint {int(ends.min())}")
+        top = int(ends.max()) + 1
+        if len(incidence) < top:
+            if not infer:
+                raise ValidationError(
+                    f"edge endpoint {top - 1} out of range for "
+                    f"num_vertices={len(incidence)}"
+                )
+            _check_vertex_count(top)
+            incidence = np.concatenate(
+                [incidence, np.zeros(top - len(incidence), np.int64)]
+            )
+        incidence += np.bincount(ends, minlength=len(incidence))
+    order = np.argsort(incidence, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank
+
+
+def _oriented_keys(
+    rank: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Rank-space keys ``src·n + dst`` with ``src < dst``, self-loops
+    dropped; a key's source is ``key // n``."""
     keep = rows != cols
-    rows, cols = rows[keep], cols[keep]
-    return np.minimum(rows, cols), np.maximum(rows, cols)
+    if not keep.all():
+        rows, cols = rows[keep], cols[keep]
+    a, b = rank[rows], rank[cols]
+    src = np.minimum(a, b)
+    np.maximum(a, b, out=a)
+    src *= len(rank)
+    src += a
+    return src
+
+
+def _cut(sizes: np.ndarray, cap: int) -> List[Tuple[int, int]]:
+    """Cut ``sizes`` into consecutive ranges whose sums stay within
+    ``cap``; an element larger than ``cap`` gets a range of its own."""
+    ends = np.cumsum(sizes)
+    ranges: List[Tuple[int, int]] = []
+    lo = base = 0
+    while lo < len(sizes):
+        hi = max(int(np.searchsorted(ends, base + cap, side="right")), lo + 1)
+        ranges.append((lo, hi))
+        base = int(ends[hi - 1])
+        lo = hi
+    return ranges
 
 
 @dataclass(frozen=True)
 class _Block:
-    """One vertex range's oriented adjacency, CSR over ``[lo, hi)``."""
+    """One rank range's oriented adjacency, a sorted CSR slab over
+    ``[lo, hi)``: ``keys`` are ``src·n + dst``, unique and ascending."""
 
     lo: int
     hi: int
     indptr: np.ndarray  # len hi - lo + 1
-    dst: np.ndarray  # sorted unique per source
-
-    def neighbors(self, u: int) -> np.ndarray:
-        base = u - self.lo
-        return self.dst[self.indptr[base] : self.indptr[base + 1]]
+    keys: np.ndarray
+    dst: np.ndarray
 
 
 def _load_blocks(
-    source: _EdgeSource, ranges: Sequence[Tuple[int, int]]
+    source: _EdgeSource, rank: np.ndarray, ranges: Sequence[Tuple[int, int]]
 ) -> List[_Block]:
-    """One stream pass keeping the oriented edges of the given vertex
-    ranges, returned as sorted+deduplicated CSR blocks."""
-    keeps: List[List[np.ndarray]] = [[[], []] for _ in ranges]  # type: ignore[misc]
+    """One stream pass keeping the oriented edges whose source lies in
+    the given rank ranges, deduplicated by sort and adjacent difference."""
+    n = len(rank)
+    kept: List[List[np.ndarray]] = [[] for _ in ranges]
     for rows, cols in source:
-        u, v = _canonical(rows, cols)
-        for i, (lo, hi) in enumerate(ranges):
-            mask = (u >= lo) & (u < hi)
-            if mask.any():
-                keeps[i][0].append(u[mask])
-                keeps[i][1].append(v[mask])
+        keys = _oriented_keys(rank, rows, cols)
+        for part, (lo, hi) in zip(kept, ranges):
+            part.append(keys[(keys >= lo * n) & (keys < hi * n)])
     blocks = []
-    for (lo, hi), (us, vs) in zip(ranges, keeps):
-        if us:
-            u = np.concatenate(us)
-            v = np.concatenate(vs)
-            order = np.lexsort((v, u))
-            u, v = u[order], v[order]
-            if len(u):
-                uniq = np.empty(len(u), dtype=bool)
-                uniq[0] = True
-                np.not_equal(u[1:], u[:-1], out=uniq[1:])
-                uniq[1:] |= v[1:] != v[:-1]
-                u, v = u[uniq], v[uniq]
-        else:
-            u = np.empty(0, dtype=np.int64)
-            v = np.empty(0, dtype=np.int64)
-        indptr = np.zeros(hi - lo + 1, dtype=np.int64)
-        np.add.at(indptr, u - lo + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        blocks.append(_Block(lo=lo, hi=hi, indptr=indptr, dst=v))
+    for part, (lo, hi) in zip(kept, ranges):
+        keys = np.sort(np.concatenate(part)) if part else np.zeros(0, np.int64)
+        if len(keys):
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        src, dst = np.divmod(keys, n)
+        indptr = np.zeros(hi - lo + 1, np.int64)
+        np.cumsum(np.bincount(src - lo, minlength=hi - lo), out=indptr[1:])
+        blocks.append(_Block(lo=lo, hi=hi, indptr=indptr, keys=keys, dst=dst))
     return blocks
+
+
+def _close_wedges(
+    block_a: _Block,
+    block_b: _Block,
+    n: int,
+    chunk: int,
+    support_a: np.ndarray,
+    support_b: np.ndarray,
+) -> None:
+    """Close every wedge ``v, w ∈ out(u)``, ``v < w``, with ``u`` in A and
+    ``v`` in B, adding each triangle to its three edges' support."""
+    if not len(block_b.keys):
+        return
+    dst, indptr = block_a.dst, block_a.indptr
+    row_end = np.repeat(indptr[1:], np.diff(indptr))
+    pivots = np.flatnonzero((dst >= block_b.lo) & (dst < block_b.hi))
+    # A pivot entry p pairs with the rest of its row, p + 1 .. row_end.
+    fan = row_end[pivots] - pivots - 1
+    pivots, fan = pivots[fan > 0], fan[fan > 0]
+    last = len(block_b.keys) - 1
+    for lo, hi in _cut(fan, chunk):
+        p, f = pivots[lo:hi], fan[lo:hi]
+        ends = np.cumsum(f)
+        uw = np.arange(ends[-1]) + np.repeat(p + 1 - (ends - f), f)
+        wedge = np.repeat(dst[p] * n, f)
+        wedge += dst[uw]
+        vw = np.searchsorted(block_b.keys, wedge)
+        np.minimum(vw, last, out=vw)
+        closed = np.flatnonzero(block_b.keys[vw] == wedge)
+        uv = p[np.searchsorted(ends, closed, side="right")]
+        support_a += np.bincount(
+            np.concatenate((uv, uw[closed])), minlength=len(support_a)
+        )
+        support_b += np.bincount(vw[closed], minlength=len(support_b))
 
 
 @dataclass(frozen=True)
@@ -198,6 +300,9 @@ class TriangleStreamResult:
     ``vertex_participation`` and ``edge_participation`` are histograms
     ``{triangles_participated_in: count}`` over all vertices (including
     isolated ones) and all distinct undirected edges respectively.
+    ``peak_entries`` is the most oriented adjacency entries held at once
+    in any pass (the deduplicated slabs of one block pair): at most
+    ``max(memory_budget_entries, 2 × largest distinct out-list)``.
     """
 
     num_vertices: int
@@ -208,6 +313,7 @@ class TriangleStreamResult:
     memory_budget_entries: int
     num_blocks: int
     stream_passes: int
+    peak_entries: int
 
     @property
     def edges_in_triangles(self) -> int:
@@ -230,7 +336,8 @@ class TriangleStreamResult:
         lines = [
             f"streamed triangle participation "
             f"({self.num_blocks} blocks, {self.stream_passes} passes, "
-            f"budget {self.memory_budget_entries:,} entries)",
+            f"budget {self.memory_budget_entries:,} entries, "
+            f"peak {self.peak_entries:,})",
             f"  vertices: {self.num_vertices:,}  "
             f"distinct edges: {self.num_edges:,}",
             f"  triangles: {self.num_triangles:,}",
@@ -239,6 +346,11 @@ class TriangleStreamResult:
             f"  vertices in >=1 triangle: {self.vertices_in_triangles:,}",
         ]
         return "\n".join(lines)
+
+
+def _histogram(values: np.ndarray) -> Dict[int, int]:
+    keys, counts = np.unique(values, return_counts=True)
+    return {int(k): int(c) for k, c in zip(keys, counts)}
 
 
 def triangle_stream(
@@ -258,8 +370,12 @@ def triangle_stream(
 
     At most ``memory_budget_entries`` oriented adjacency entries are
     held at once (see the module docstring for the one hub-vertex
-    exception), at the cost of re-streaming the source once per block
-    pair — ``stream_passes`` in the result records the actual count.
+    exception), and wedges are closed at most as many at a time as a
+    block pair holds entries, at the cost of re-streaming the source
+    once per block pair —
+    ``stream_passes`` and ``peak_entries`` in the result record the
+    actual counts.  Vertex counts above :data:`MAX_TRIANGLE_VERTICES`
+    raise :class:`ValidationError`.
     """
     if memory_budget_entries < 1:
         raise ValidationError(
@@ -268,110 +384,69 @@ def triangle_stream(
         )
     if num_vertices is None and isinstance(edges, (str, Path)):
         num_vertices = _manifest_num_vertices(Path(edges))
+    if num_vertices is not None:
+        _check_vertex_count(num_vertices)
     source = _EdgeSource(edges, chunk_bytes)
+    rank = _rank_vertices(source, num_vertices)
+    n = len(rank)
 
-    # Pass 0: canonical out-counts (pre-dedup — a safe overestimate for
-    # packing) and, if still unknown, the vertex-id ceiling.
-    counts = np.zeros(0 if num_vertices is None else num_vertices, np.int64)
-    infer = num_vertices is None
+    # Pass 1: oriented out-counts in rank space, cut into blocks any two
+    # of which fit in the budget together.
+    out_counts = np.zeros(n, np.int64)
     for rows, cols in source:
-        u, v = _canonical(rows, cols)
-        if not len(u):
-            continue
-        top = int(v.max()) + 1
-        if len(counts) < top:
-            if not infer:
-                raise ValidationError(
-                    f"edge endpoint {top - 1} out of range for "
-                    f"num_vertices={len(counts)}"
-                )
-            counts = np.concatenate(
-                [counts, np.zeros(top - len(counts), np.int64)]
-            )
-        counts += np.bincount(u, minlength=len(counts))
-    n = len(counts)
+        out_counts += np.bincount(
+            _oriented_keys(rank, rows, cols) // n, minlength=n
+        )
+    ranges = _cut(out_counts, max(1, memory_budget_entries // 2))
 
-    # Greedy half-budget blocks: any two fit in the budget together.
-    half = max(1, memory_budget_entries // 2)
-    ranges: List[Tuple[int, int]] = []
-    lo = 0
-    acc = 0
-    for v_id in range(n):
-        c = int(counts[v_id])
-        if acc and acc + c > half:
-            ranges.append((lo, v_id))
-            lo, acc = v_id, 0
-        acc += c
-    if lo < n or not ranges:
-        ranges.append((lo, n))
-
-    vertex_tri = np.zeros(n, dtype=np.int64)
-    edge_tri: Dict[Tuple[int, int], int] = {}
-    num_edges = 0
-    counted_blocks = set()
-
+    vertex_support = np.zeros(n, np.int64)
+    support: Dict[int, np.ndarray] = {}
+    edge_participation: Dict[int, int] = {}
+    peak = 0
     for a_idx in range(len(ranges)):
         for b_idx in range(a_idx, len(ranges)):
-            if a_idx == b_idx:
-                (block_a,) = _load_blocks(source, [ranges[a_idx]])
-                block_b = block_a
-            else:
-                block_a, block_b = _load_blocks(
-                    source, [ranges[a_idx], ranges[b_idx]]
-                )
-            for idx, block in ((a_idx, block_a), (b_idx, block_b)):
-                if idx not in counted_blocks:
-                    counted_blocks.add(idx)
-                    num_edges += len(block.dst)
-            b_lo, b_hi = block_b.lo, block_b.hi
-            for u in range(block_a.lo, block_a.hi):
-                ns = block_a.neighbors(u)
-                if len(ns) < 2:
-                    continue
-                # Wedge pivots v must live in B (their out-list is there).
-                pivots = ns[(ns >= b_lo) & (ns < b_hi)]
-                for v in pivots:
-                    ws = ns[ns > v]
-                    if not len(ws):
-                        continue
-                    adj_v = block_b.neighbors(int(v))
-                    if not len(adj_v):
-                        continue
-                    pos = np.searchsorted(adj_v, ws)
-                    pos[pos >= len(adj_v)] = len(adj_v) - 1
-                    closed = ws[adj_v[pos] == ws]
-                    hits = len(closed)
-                    if not hits:
-                        continue
-                    vertex_tri[u] += hits
-                    vertex_tri[int(v)] += hits
-                    vertex_tri[closed] += 1
-                    uv = (u, int(v))
-                    edge_tri[uv] = edge_tri.get(uv, 0) + hits
-                    for w in closed:
-                        w = int(w)
-                        for e in ((u, w), (int(v), w)):
-                            edge_tri[e] = edge_tri.get(e, 0) + 1
+            pair = sorted({a_idx, b_idx})
+            blocks = _load_blocks(source, rank, [ranges[i] for i in pair])
+            held = sum(len(block.keys) for block in blocks)
+            peak = max(peak, held)
+            for idx, block in zip(pair, blocks):
+                if idx not in support:
+                    support[idx] = np.zeros(len(block.keys), np.int64)
+            block_a = blocks[0]
+            # Wedge chunks no larger than the slabs keep the closure's
+            # scratch arrays in proportion to what the pair holds.
+            _close_wedges(
+                block_a,
+                blocks[-1],
+                n,
+                min(memory_budget_entries, held),
+                support[a_idx],
+                support[b_idx],
+            )
+        # Pair (a, last) was block a's last: its support is final, and
+        # each edge hands it to both endpoints.
+        done = support.pop(a_idx)
+        sums = np.concatenate(([0], np.cumsum(done)))
+        vertex_support[block_a.lo : block_a.hi] += (
+            sums[block_a.indptr[1:]] - sums[block_a.indptr[:-1]]
+        )
+        np.add.at(vertex_support, block_a.dst, done)
+        for count, edges_with in _histogram(done).items():
+            edge_participation[count] = (
+                edge_participation.get(count, 0) + edges_with
+            )
 
-    degrees, vertex_counts = np.unique(vertex_tri, return_counts=True)
-    vertex_participation = {
-        int(d): int(c) for d, c in zip(degrees, vertex_counts)
-    }
-    edge_participation: Dict[int, int] = {}
-    for count in edge_tri.values():
-        edge_participation[count] = edge_participation.get(count, 0) + 1
-    untouched = num_edges - len(edge_tri)
-    if untouched:
-        edge_participation[0] = untouched
+    vertex_tri = vertex_support // 2
     return TriangleStreamResult(
         num_vertices=n,
-        num_edges=num_edges,
+        num_edges=sum(edge_participation.values()),
         num_triangles=int(vertex_tri.sum()) // 3,
-        vertex_participation=vertex_participation,
-        edge_participation=edge_participation,
+        vertex_participation=_histogram(vertex_tri),
+        edge_participation=dict(sorted(edge_participation.items())),
         memory_budget_entries=memory_budget_entries,
         num_blocks=len(ranges),
         stream_passes=source.passes,
+        peak_entries=peak,
     )
 
 

@@ -1,18 +1,23 @@
 """Streamed triangle participation: exactness, budgets, deficiency.
 
-Three claims under test: (1) the blocked streaming algorithm computes
+Four claims under test: (1) the blocked streaming algorithm computes
 *exactly* the same triangle count and participation histograms as the
-in-memory counters, at every memory budget — including budgets far
-smaller than the edge set; (2) it consumes real shard directories rank
-by rank; (3) it reproduces the arXiv:1102.5046 finding on a recorded
-configuration — plain SKG is triangle-deficient against its own
-noisy-initiator variant.
+in-memory counters, brute force and the id-ordered loop it replaced, at
+every memory budget — including budgets far smaller than the edge set —
+under any vertex labelling; (2) it holds no more adjacency than the
+budget (or twice the largest out-list); (3) it consumes real shard
+directories rank by rank; (4) it reproduces the arXiv:1102.5046 finding
+on a recorded configuration — plain SKG is triangle-deficient against
+its own noisy-initiator variant.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.design import PowerLawDesign
 from repro.engine import ShardSink, execute, plan_from_model
@@ -25,6 +30,8 @@ from repro.validate import (
     iter_shard_edges,
     triangle_stream,
 )
+from repro.validate.triangle_stream import MAX_TRIANGLE_VERTICES
+from tests.oracles import triangle_stream_by_id
 
 DESIGN = PowerLawDesign([3, 4, 5], "center")
 
@@ -57,6 +64,86 @@ def brute_force(rows, cols, n):
     return edges, vertex, edge, triangles
 
 
+MEASURED = (
+    "num_vertices",
+    "num_edges",
+    "num_triangles",
+    "vertex_participation",
+    "edge_participation",
+)
+
+
+def measured(result):
+    """The label-independent fields of a ``TriangleStreamResult``."""
+    return {field: getattr(result, field) for field in MEASURED}
+
+
+def brute_measured(rows, cols, n):
+    """``measured`` computed by :func:`brute_force`."""
+    edges, vertex, edge, triangles = brute_force(rows, cols, n)
+    edge_hist = Counter(edge.values())
+    if len(edges) > len(edge):
+        edge_hist[0] = len(edges) - len(edge)
+    return {
+        "num_vertices": n,
+        "num_edges": len(edges),
+        "num_triangles": triangles,
+        "vertex_participation": dict(Counter(vertex)),
+        "edge_participation": dict(edge_hist),
+    }
+
+
+def largest_out_list(rows, cols, n):
+    """The largest distinct out-list once every edge points from the
+    lower to the higher vertex in (stored incidence, id) order."""
+    incidence = Counter()
+    for u, v in zip(rows.tolist(), cols.tolist()):
+        if u != v:
+            incidence[u] += 1
+            incidence[v] += 1
+    order = sorted(range(n), key=lambda x: (incidence[x], x))
+    rank = {x: i for i, x in enumerate(order)}
+    oriented = {
+        tuple(sorted((rank[u], rank[v])))
+        for u, v in zip(rows.tolist(), cols.tolist())
+        if u != v
+    }
+    return max(Counter(src for src, _ in oriented).values(), default=0)
+
+
+@st.composite
+def chunked_multigraphs(draw):
+    """A budget and a multigraph on ``n`` vertices cut into random
+    chunks, with a relabelling of its vertices.
+
+    Entries may be self-loops or repeats, and are stored in one
+    direction or both; high ids may stay isolated; chunks may be empty,
+    and so may the whole input.  A random clique makes triangles likely.
+    Budget 1 cuts a block per vertex, so its graphs stay smaller.
+    """
+    budget = draw(st.sampled_from([1, 2, 3, 7, 64, 10**9]))
+    n = draw(st.integers(0, 6 if budget == 1 else 12))
+    ids = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=30)) if n else []
+    clique = sorted(draw(st.sets(ids, max_size=6))) if n else []
+    pairs += itertools.combinations(clique, 2)
+    both = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    entries = draw(
+        st.permutations(pairs + [(v, u) for (u, v), b in zip(pairs, both) if b])
+    )
+    cuts = sorted(draw(st.lists(st.integers(0, len(entries)), max_size=4)))
+    bounds = [0, *cuts, len(entries)]
+    chunks = [
+        (
+            np.array([u for u, _ in entries[lo:hi]], dtype=np.int64),
+            np.array([v for _, v in entries[lo:hi]], dtype=np.int64),
+        )
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    return budget, n, chunks, perm
+
+
 class TestExactness:
     @pytest.mark.parametrize("budget", [10**9, 64, 9, 1])
     def test_matches_brute_force_on_random_graphs(self, rng, budget):
@@ -65,23 +152,46 @@ class TestExactness:
             m = 60
             rows = rng.integers(0, n, size=m).astype(np.int64)
             cols = rng.integers(0, n, size=m).astype(np.int64)
-            edges, vertex, edge, triangles = brute_force(rows, cols, n)
             result = triangle_stream(
                 [(rows, cols)], n, memory_budget_entries=budget
             )
-            assert result.num_edges == len(edges)
-            assert result.num_triangles == triangles
-            expect_vertex = {}
-            for c in vertex:
-                expect_vertex[c] = expect_vertex.get(c, 0) + 1
-            assert result.vertex_participation == expect_vertex
-            expect_edge = {}
-            for c in edge.values():
-                expect_edge[c] = expect_edge.get(c, 0) + 1
-            zero = len(edges) - len(edge)
-            if zero:
-                expect_edge[0] = zero
-            assert result.edge_participation == expect_edge
+            assert measured(result) == brute_measured(rows, cols, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=chunked_multigraphs(), infer=st.booleans())
+    # Four leaves stored one way only: one leaf per half-budget block.
+    @example(
+        case=(
+            2,
+            5,
+            [(np.array([1, 2, 3, 4]), np.zeros(4, dtype=np.int64))],
+            np.arange(5),
+        ),
+        infer=False,
+    )
+    def test_sweep_matches_oracles_under_any_labelling(self, case, infer):
+        budget, n, chunks, perm = case
+        num_vertices = None if infer else n
+        result = triangle_stream(
+            chunks, num_vertices, memory_budget_entries=budget
+        )
+        assert measured(result) == triangle_stream_by_id(
+            chunks, num_vertices, memory_budget_entries=budget
+        )
+        rows = np.concatenate([r for r, _ in chunks])
+        cols = np.concatenate([c for _, c in chunks])
+        assert measured(result) == brute_measured(
+            rows, cols, result.num_vertices
+        )
+        blocks = result.num_blocks
+        assert result.stream_passes == 2 + blocks * (blocks + 1) // 2
+        assert result.peak_entries <= max(
+            budget, 2 * largest_out_list(rows, cols, result.num_vertices)
+        )
+        relabelled = [(perm[r], perm[c]) for r, c in chunks]
+        assert measured(
+            triangle_stream(relabelled, n, memory_budget_entries=budget)
+        ) == measured(triangle_stream(chunks, n, memory_budget_entries=budget))
 
     def test_design_triangles_match_closed_form(self):
         graph = DESIGN.realize()
@@ -115,6 +225,22 @@ class TestExactness:
         ):
             assert getattr(tiny, field) == getattr(base, field), field
 
+    @pytest.mark.parametrize("budget", [1024, 4096])
+    def test_wedges_closed_in_several_chunks_per_block_pair(self, budget):
+        # At these budgets some block pairs hold more wedges than the
+        # budget, so their closure runs in several chunks.
+        design = PowerLawDesign([3, 4, 5, 9], "center")
+        from repro.sparse.convert import as_coo
+
+        coo = as_coo(design.realize().adjacency)
+        edges = [(coo.rows, coo.cols)]
+        base = triangle_stream(edges, design.num_vertices)
+        chunked = triangle_stream(
+            edges, design.num_vertices, memory_budget_entries=budget
+        )
+        assert base.num_triangles == design.num_triangles
+        assert measured(chunked) == measured(base)
+
     def test_empty_input(self):
         result = triangle_stream([], 0)
         assert result.num_edges == 0
@@ -130,6 +256,21 @@ class TestExactness:
     def test_bad_budget_rejected(self):
         with pytest.raises(ValidationError, match="positive"):
             triangle_stream([], 0, memory_budget_entries=0)
+
+    def test_negative_endpoint_rejected(self):
+        rows = np.array([0, -1], dtype=np.int64)
+        cols = np.array([1, 2], dtype=np.int64)
+        with pytest.raises(ValidationError, match="negative"):
+            triangle_stream([(rows, cols)], 4)
+
+    def test_vertex_count_beyond_closure_key_rejected(self):
+        # Refused before any O(V) array is allocated.
+        with pytest.raises(ValidationError, match="too large"):
+            triangle_stream([], MAX_TRIANGLE_VERTICES + 1)
+        rows = np.array([0], dtype=np.int64)
+        cols = np.array([MAX_TRIANGLE_VERTICES], dtype=np.int64)
+        with pytest.raises(ValidationError, match="too large"):
+            triangle_stream([(rows, cols)])
 
 
 class TestShardInput:
