@@ -11,8 +11,8 @@ against the other two generators the paper contrasts itself with:
   Graph500 initiator.
 
 Everything funnels through the same
-:func:`repro.validate.triangle_stream.triangle_stream` /
-:func:`~repro.validate.triangle_stream.compare_triangle_participation`
+:func:`repro.validate.triangle_pass.triangle_stream` /
+:func:`~repro.validate.triangle_pass.compare_triangle_participation`
 machinery used for SKG, so the deficiency verdicts are directly
 comparable across all four generator families.
 """
@@ -73,7 +73,7 @@ def baseline_triangle_participation(
     memory_budget_entries: Optional[int] = None,
 ):
     """Streamed triangle participation of one baseline sample."""
-    from repro.validate.triangle_stream import (
+    from repro.validate.triangle_pass import (
         DEFAULT_TRIANGLE_BUDGET_ENTRIES,
         triangle_stream,
     )
@@ -100,11 +100,11 @@ def compare_baseline_triangles(
 ):
     """One baseline sample vs the design's closed-form triangle count.
 
-    Returns a :class:`repro.validate.triangle_stream.TriangleComparison`
+    Returns a :class:`repro.validate.triangle_pass.TriangleComparison`
     whose ``deficient`` flag answers the paper's question: does the
     random generator realize the designed triangle structure?
     """
-    from repro.validate.triangle_stream import compare_triangle_participation
+    from repro.validate.triangle_pass import compare_triangle_participation
 
     measured = baseline_triangle_participation(
         kind,

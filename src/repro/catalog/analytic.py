@@ -44,16 +44,16 @@ from repro.errors import CatalogError
 
 
 class PlanEdgeStream:
-    """A re-iterable ``(rows, cols)`` chunk stream generated straight
-    from a :class:`~repro.engine.plan.GenerationPlan`.
+    """A ``(rows, cols)`` chunk stream generated straight from a
+    :class:`~repro.engine.plan.GenerationPlan`.
 
     Iterates :func:`repro.engine.execute.iter_task_tiles` over every
     task — model tiles, then the plan's loop removal — with the scramble
     dropped (label-invariant consumers don't need it) and no sink:
     tiles are yielded and dropped, so peak memory is one tile.
-    Iterating again regenerates from scratch, which is what lets
-    :func:`repro.validate.triangle_stream.triangle_stream` make its
-    multiple block-pair passes without ever materializing the graph.
+    :func:`_streamed_stats` iterates it once; the triangle pass's later
+    passes read its own spill, so the graph is never materialized and
+    never generated twice.
     """
 
     def __init__(self, plan) -> None:
@@ -70,27 +70,26 @@ class PlanEdgeStream:
 def _streamed_stats(
     stream, num_vertices: int, *, memory_budget_entries: Optional[int]
 ) -> Tuple["DegreeDistribution", int, "TriangleStreamResult"]:
-    """One degree pass + the blocked triangle passes over a stream."""
+    """One read of ``stream`` feeds the degree histogram and pass 0 of
+    the blocked triangle pass, whose later passes read its spill."""
     from repro.engine.sinks import StreamingDegreeAccumulator
-    from repro.validate.triangle_stream import (
+    from repro.validate.triangle_pass import (
         DEFAULT_TRIANGLE_BUDGET_ENTRIES,
-        triangle_stream,
+        TrianglePass,
     )
 
     acc = StreamingDegreeAccumulator(num_vertices)
-    stored_entries = 0
-    for rows, _cols in stream:
-        acc.add_block_rows(rows)
-        stored_entries += len(rows)
     budget = (
         DEFAULT_TRIANGLE_BUDGET_ENTRIES
         if memory_budget_entries is None
         else memory_budget_entries
     )
-    tri = triangle_stream(
-        stream, num_vertices, memory_budget_entries=budget
-    )
-    return acc.distribution(), stored_entries, tri
+    with TrianglePass(num_vertices, budget) as tri_pass:
+        for rows, cols in stream:
+            acc.add_block_rows(rows)
+            tri_pass.add(rows, cols)
+        tri = tri_pass.result()
+    return acc.distribution(), acc.edges_seen, tri
 
 
 def _design_from_key(subject, key: Mapping):

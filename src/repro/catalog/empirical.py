@@ -2,11 +2,13 @@
 
 The twin of :mod:`repro.catalog.analytic`: the same
 :class:`~repro.catalog.record.DesignProperties` schema, filled from
-what a streamed run actually wrote.  Degrees come from the chunked
-TSV reader (:func:`repro.parallel.stream.read_streamed_degree_distribution`),
-triangles and participation from the blocked
-:func:`repro.validate.triangle_stream.triangle_stream` pass — both
-bounded-memory, so directories far larger than RAM measure fine.
+what a streamed run actually wrote.  One scan reads each shard once
+through the checked reader (:func:`repro.io.shards.read_shards`, which
+checks its size and sha256 against the manifest) and feeds the degree
+histogram and pass 0 of the blocked triangle pass
+(:class:`repro.validate.triangle_pass.TrianglePass`), whose later
+passes read its spill — both bounded-memory, so directories far larger
+than RAM measure fine.
 
 Only **complete** runs are measurable: an in-progress or failed
 manifest raises :class:`CatalogError` (a partial graph's properties
@@ -54,13 +56,16 @@ def empirical_properties(
     ``directory`` must hold a complete streamed run (its
     ``manifest.json`` supplies shard order, the fingerprint, and the
     vertex count).  ``memory_budget_entries`` caps the triangle pass's
-    adjacency budget; degrees always stream chunk-by-chunk.
+    adjacency budget; degrees always stream chunk-by-chunk.  A shard
+    whose size or sha256 disagrees with the manifest raises
+    :class:`~repro.errors.ShardIntegrityError` naming it.
     """
-    from repro.parallel.stream import read_streamed_degree_distribution
+    from repro.engine.sinks import StreamingDegreeAccumulator
+    from repro.io.shards import read_shards
     from repro.runtime.checkpoint import STATUS_COMPLETE, RunManifest
-    from repro.validate.triangle_stream import (
+    from repro.validate.triangle_pass import (
         DEFAULT_TRIANGLE_BUDGET_ENTRIES,
-        triangle_stream,
+        TrianglePass,
     )
 
     directory = Path(directory)
@@ -73,20 +78,21 @@ def empirical_properties(
     fp = manifest.fingerprint
     key = catalog_key(fp)
     num_vertices = _num_vertices_from_fingerprint(fp)
-    files = [
-        directory / manifest.shards[rank].filename
-        for rank in sorted(manifest.shards)
-    ]
-    dist = read_streamed_degree_distribution(files, num_vertices)
-    tri = triangle_stream(
-        directory,
-        num_vertices,
-        memory_budget_entries=(
-            DEFAULT_TRIANGLE_BUDGET_ENTRIES
-            if memory_budget_entries is None
-            else memory_budget_entries
-        ),
+    degrees = StreamingDegreeAccumulator(num_vertices)
+    budget = (
+        DEFAULT_TRIANGLE_BUDGET_ENTRIES
+        if memory_budget_entries is None
+        else memory_budget_entries
     )
+    with TrianglePass(num_vertices, budget) as tri_pass:
+
+        def scan(triples):
+            degrees.add_block_rows(triples[:, 0])
+            tri_pass.add(triples[:, 0], triples[:, 1])
+
+        read_shards(directory, manifest, scan)
+        tri = tri_pass.result()
+    dist = degrees.distribution()
     return DesignProperties(
         source="empirical",
         model=model_name_for_key(key),

@@ -16,16 +16,18 @@ shard reader and helper here goes through it:
   masked out and a single boolean compress yields the bytes.  Its
   output is byte-identical to ``f"{r}\\t{c}\\t{v}\\n"`` per entry,
   negative values and the int64 extremes included.
-* :func:`iter_tsv_triples` — the chunked, strict parser: reads
-  ``chunk_bytes`` at a time, checks that the separators run
+* :func:`parse_tsv_chunks` — the chunked, strict parser: takes the
+  bytes a chunk at a time, checks that the separators run
   ``\\t \\t \\n`` line after line, and decodes each chunk in one
-  ``np.fromstring`` call.
+  ``np.fromstring`` call.  :func:`iter_tsv_triples` feeds it a file
+  ``chunk_bytes`` at a time; :mod:`repro.io.shards` feeds it a shard's
+  bytes as they are hashed.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -169,29 +171,33 @@ def _parse_lines(data: bytes, path, *, comments_dropped: bool = False) -> np.nda
     return values.reshape(-1, 3)
 
 
+def parse_tsv_chunks(chunks: Iterable[bytes], path) -> Iterator[np.ndarray]:
+    """Yield the triples of a TSV byte stream, given in ``chunks``, as
+    ``(n, 3)`` int64 arrays, one per chunk (each cut at its last
+    newline, the rest carried into the next).
+
+    Strict: every line is ``int<TAB>int<TAB>int``; anything else —
+    including a final line without its newline — raises
+    :class:`~repro.errors.IOFormatError` naming ``path``.
+    """
+    tail = b""
+    for data in chunks:
+        data = tail + data
+        cut = data.rfind(b"\n") + 1
+        tail = data[cut:]
+        if cut:
+            yield _parse_lines(data[:cut], path)
+    if tail.strip():
+        raise IOFormatError(f"{path}: trailing partial line {tail[:80]!r}")
+
+
 def iter_tsv_triples(
     path: str | Path, *, chunk_bytes: int = READ_CHUNK_BYTES
 ) -> Iterator[np.ndarray]:
     """Yield a TSV file's triples as ``(n, 3)`` int64 arrays, one
-    ~``chunk_bytes`` slab at a time (each cut at its last newline).
-
-    Strict: every line is ``int<TAB>int<TAB>int``; anything else —
-    including a final line without its newline — raises
-    :class:`~repro.errors.IOFormatError` naming the file.
-    """
+    ~``chunk_bytes`` slab at a time, through :func:`parse_tsv_chunks`."""
     with open(path, "rb") as fh:
-        tail = b""
-        while True:
-            data = fh.read(chunk_bytes)
-            if not data:
-                break
-            data = tail + data
-            cut = data.rfind(b"\n") + 1
-            tail = data[cut:]
-            if cut:
-                yield _parse_lines(data[:cut], path)
-    if tail.strip():
-        raise IOFormatError(f"{path}: trailing partial line {tail[:80]!r}")
+        yield from parse_tsv_chunks(iter(lambda: fh.read(chunk_bytes), b""), path)
 
 
 # -- matrix helpers ------------------------------------------------------------

@@ -52,7 +52,8 @@ from repro.engine.sinks import (  # noqa: F401  (re-exported, historical home)
     StreamingDegreeAccumulator,
     StreamSummary,
 )
-from repro.errors import ManifestError
+from repro.errors import ManifestError, ShardIntegrityError
+from repro.io.shards import read_shard
 from repro.io.tsv import READ_CHUNK_BYTES, iter_tsv_triples
 from repro.models import resolve_model
 from repro.runtime.checkpoint import (
@@ -260,7 +261,10 @@ def verify_shards(
     so the design is reconstructed from it when not supplied.  When all
     shards are intact (and ``check_degrees``), the streamed degree
     distribution is compared to the design's exact prediction — the
-    Fig.-4 measured==predicted check run purely from disk.
+    Fig.-4 measured==predicted check run purely from disk.  Each shard
+    is read once: the checked reader (:func:`repro.io.shards.read_shard`)
+    hashes the bytes it parses for degrees, and once a shard has failed
+    (or without ``check_degrees``) the rest are only hashed.
 
     Shards written by a stochastic generator model (the fingerprint
     carries a ``model`` field) have no exact closed-form degree
@@ -297,13 +301,23 @@ def verify_shards(
         expected_nnz = design.num_edges
     ok_ranks: List[int] = []
     bad_ranks: List[int] = []
+    degrees = (
+        StreamingDegreeAccumulator(design.num_vertices) if check_degrees else None
+    )
     for rank in range(manifest.n_ranks):
         record = manifest.shards.get(rank)
         if record is None:
             bad_ranks.append(rank)
             failures.append(f"rank {rank}: no shard recorded in manifest")
             continue
-        ok, reason = verify_shard_record(directory, record)
+        if degrees is None or failures:
+            ok, reason = verify_shard_record(directory, record)
+        else:
+            try:
+                read_shard(directory, record, lambda t: degrees.add_block_rows(t[:, 0]))
+                ok, reason = True, ""
+            except ShardIntegrityError as exc:
+                ok, reason = False, str(exc)
         if ok:
             ok_ranks.append(rank)
         else:
@@ -311,11 +325,9 @@ def verify_shards(
             failures.append(f"rank {rank}: {reason}")
     total_nnz = sum(manifest.shards[r].nnz for r in ok_ranks)
     degree_check = None
-    if check_degrees and not bad_ranks and not failures:
-        files = [directory / manifest.shards[r].filename for r in ok_ranks]
-        measured = read_streamed_degree_distribution(files, design.num_vertices)
+    if degrees is not None and not failures:
         degree_check = check_degree_distribution(
-            measured, design.degree_distribution
+            degrees.distribution(), design.degree_distribution
         )
     return ShardVerification(
         directory=str(directory),

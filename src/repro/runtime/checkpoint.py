@@ -11,7 +11,8 @@ predicted graph.  That combination makes durability cheap and exact:
   crash);
 * **checksums** — every payload is hashed (:func:`payload_checksum`,
   SHA-256) before it hits disk, and :func:`file_checksum` re-derives the
-  same digest from the file, so corruption is detectable byte-for-byte;
+  same digest from the file (:func:`iter_shard_bytes` while handing the
+  bytes to a reader), so corruption is detectable byte-for-byte;
 * **a run manifest** — :class:`RunManifest` (``manifest.json``, itself
   written atomically and updated per completed rank) records the design
   fingerprint, per-shard path/nnz/checksum, and run status
@@ -44,9 +45,14 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping
+from typing import Dict, Iterator, List, Mapping
 
-from repro.errors import ManifestError, ResumeMismatchError, StorageError
+from repro.errors import (
+    ManifestError,
+    ResumeMismatchError,
+    ShardIntegrityError,
+    StorageError,
+)
 
 #: Manifest schema version; bumped on incompatible layout changes.
 MANIFEST_VERSION = 1
@@ -409,31 +415,52 @@ class RunManifest:
         return (Path(directory) / MANIFEST_NAME).is_file()
 
 
+def iter_shard_bytes(
+    directory: str | Path, record: ShardRecord, *, chunk_size: int = 1 << 20
+) -> Iterator[bytes]:
+    """Yield a recorded shard's bytes, ``chunk_size`` at a time, hashing
+    each chunk as it is read.
+
+    Raises :class:`~repro.errors.ShardIntegrityError` with a
+    human-readable diagnosis (missing / size / checksum): the size is
+    checked before the first read, so truncation is reported as such
+    without reading the payload, and the checksum after the last.
+    """
+    path = Path(directory) / record.filename
+    if not path.is_file():
+        raise ShardIntegrityError(f"shard file {record.filename} is missing")
+    size = path.stat().st_size
+    if size != record.size_bytes:
+        raise ShardIntegrityError(
+            f"shard {record.filename} is {size} bytes; "
+            f"manifest records {record.size_bytes}"
+        )
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(chunk_size), b""):
+            digest.update(chunk)
+            yield chunk
+    actual = "sha256:" + digest.hexdigest()
+    if actual != record.checksum:
+        raise ShardIntegrityError(
+            f"shard {record.filename} checksum {actual} != recorded "
+            f"{record.checksum}"
+        )
+
+
 def verify_shard_record(
     directory: str | Path, record: ShardRecord
 ) -> tuple[bool, str]:
     """Check one recorded shard against the file on disk.
 
     Returns ``(ok, reason)`` — ``reason`` is empty when the shard is
-    intact, otherwise a human-readable diagnosis (missing / size /
-    checksum).  Size is checked before the hash so truncation is
-    reported as such without reading the payload.
+    intact, otherwise the diagnosis :func:`iter_shard_bytes` raised.
     """
-    path = Path(directory) / record.filename
-    if not path.is_file():
-        return False, f"shard file {record.filename} is missing"
-    size = path.stat().st_size
-    if size != record.size_bytes:
-        return False, (
-            f"shard {record.filename} is {size} bytes; "
-            f"manifest records {record.size_bytes}"
-        )
-    actual = file_checksum(path)
-    if actual != record.checksum:
-        return False, (
-            f"shard {record.filename} checksum {actual} != recorded "
-            f"{record.checksum}"
-        )
+    try:
+        for _ in iter_shard_bytes(directory, record):
+            pass
+    except ShardIntegrityError as exc:
+        return False, str(exc)
     return True, ""
 
 
@@ -490,6 +517,7 @@ __all__ = [
     "classify_storage_error",
     "design_fingerprint",
     "file_checksum",
+    "iter_shard_bytes",
     "is_fatal_storage_error",
     "payload_checksum",
     "quarantine_shard",

@@ -22,17 +22,17 @@ from repro.validate.structure import (
     PartitionAudit,
 )
 from repro.validate.report import ValidationReport, validate_design
-from repro.validate.triangle_stream import (
+from repro.io.shards import iter_shard_edges
+from repro.validate.triangle_pass import (
     TriangleComparison,
     TriangleStreamResult,
     compare_triangle_participation,
-    iter_shard_edges,
     triangle_stream,
 )
 from repro.validate.catalog_check import check_against_catalog
 # Validation *is* a catalog diff now; re-exported here so callers keep
 # one import site.  Last on purpose: repro.catalog's submodules import
-# repro.validate.triangle_stream, which the lines above already bound.
+# repro.validate.triangle_pass, which the lines above already bound.
 from repro.catalog.diff import CatalogDiff, FieldDiff, diff_properties
 
 __all__ = [

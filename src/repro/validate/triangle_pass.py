@@ -14,25 +14,30 @@ edges inside triangles.  :func:`compare_triangle_participation` flags
 exactly that deficiency.
 
 Algorithm (degree-ordered wedge closure over sorted CSR, blocked; the
-edge-local statistics of Sanders–Pearce–La Fond, arXiv:1803.09021):
+edge-local statistics of Sanders–Pearce–La Fond, arXiv:1803.09021),
+run by the accumulator :class:`TrianglePass`:
 
-1. *Pass 0* streams the edges once and counts every vertex's stored
-   incidence (the non-loop entries touching it), an O(V) array.  It
-   infers the vertex count, or checks every endpoint against the given
-   one.  Vertices are ranked by ``(incidence, id)`` and every edge is
+1. *Pass 0* is the one read of the source.  :meth:`TrianglePass.add`
+   takes the edges a chunk at a time, counts every vertex's stored
+   incidence (the non-loop entries touching it), an O(V) array, and
+   appends the chunk's non-loop entries to an anonymous binary spill
+   (``tempfile.TemporaryFile``, 16 bytes per entry).  It infers the
+   vertex count, or checks every endpoint against the given one.
+   Vertices are ranked by ``(incidence, id)`` and every edge is
    oriented from its lower- to its higher-ranked endpoint, so a hub's
    edges belong to its lower-degree neighbours: every out-list stays
    short, and vertex labels only break ties in incidence.
-2. *Pass 1* counts the oriented out-lists in rank space (duplicates
-   included — a safe overestimate for packing) and greedily cuts the
-   rank range into **blocks** whose counts stay within half the
-   budget, so any two blocks' adjacency fits in the budget together.
-   A single hub vertex may exceed the half budget on its own; then, as
-   in the engine's tiling story, peak memory is
+2. *Pass 1* reads the spill back and rewrites it in place as oriented
+   rank-space keys ``src·n + dst`` (8 bytes per entry).  It counts the
+   out-lists (duplicates included — a safe overestimate for packing)
+   and greedily cuts the rank range into **blocks** whose counts stay
+   within half the budget, so any two blocks' adjacency fits in the
+   budget together.  A single hub vertex may exceed the half budget on
+   its own; then, as in the engine's tiling story, peak memory is
    ``max(budget, 2 × largest out-list)``.
-3. For each block pair ``(A, B)`` with ``B ≥ A`` the stream is scanned
-   once more, keeping only edges whose oriented source lands in A or
-   B, deduplicated by sort into CSR slabs keyed ``src·n + dst``.  The
+3. For each block pair ``(A, B)`` with ``B ≥ A`` the keys are read once
+   more, :data:`SPILL_READ_ENTRIES` at a time, keeping only those whose
+   source lands in A or B, deduplicated by sort into CSR slabs.  The
    wedges ``v, w ∈ out(u)``, ``v < w`` with ``u ∈ A`` and ``v ∈ B`` are
    expanded by slicing A's rows, at most as many wedges at a time as
    the pair holds entries (so never more than the budget, hub rows
@@ -41,8 +46,9 @@ edge-local statistics of Sanders–Pearce–La Fond, arXiv:1803.09021):
    Each triangle ``u < v < w`` (in rank order) is therefore found
    exactly once, in the pair ``(block(u), block(v))``.
 
-``stream_passes`` is ``2 + k(k + 1)/2`` for ``k`` blocks, and
-``peak_entries`` records the most deduplicated entries one pair held.
+``stream_passes`` is ``2 + k(k + 1)/2`` for ``k`` blocks: passes over
+the edges, of which only pass 0 reads the source.  ``peak_entries``
+records the most deduplicated entries one pair held.
 Per-edge support lives in one int64 array per block, indexed like the
 block's CSR entries: O(distinct edges), outside the adjacency budget
 like the O(V) per-vertex array.  A closed wedge adds one to each of its
@@ -53,16 +59,18 @@ its vertices) and the block's support joins the edge histogram.
 
 from __future__ import annotations
 
-import json
+import tempfile
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import IOFormatError, ValidationError
-from repro.io.tsv import READ_CHUNK_BYTES, iter_tsv_triples
+from repro.errors import ValidationError
+from repro.io.shards import read_shards
+from repro.io.tsv import READ_CHUNK_BYTES
+from repro.runtime.checkpoint import RunManifest
 
 #: Default adjacency-entry budget, matching the engine's per-rank default.
 DEFAULT_TRIANGLE_BUDGET_ENTRIES = 50_000_000
@@ -70,84 +78,10 @@ DEFAULT_TRIANGLE_BUDGET_ENTRIES = 50_000_000
 #: The largest vertex count whose closure keys ``src·n + dst`` fit int64.
 MAX_TRIANGLE_VERTICES = isqrt(2**63 - 1)
 
-def iter_shard_edges(
-    directory: str | Path, *, chunk_bytes: int = READ_CHUNK_BYTES
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Stream a shard directory's edges rank by rank, chunk by chunk.
-
-    Follows ``manifest.json``'s shard order (ascending rank), so the
-    traversal is deterministic and never holds more than one chunk.
-    """
-    directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise IOFormatError(f"no manifest.json in {directory}")
-    manifest = json.loads(manifest_path.read_text(encoding="ascii"))
-    for record in manifest["shards"]:
-        path = directory / record["filename"]
-        for triples in iter_tsv_triples(path, chunk_bytes=chunk_bytes):
-            yield triples[:, 0], triples[:, 1]
-
-
-def _manifest_num_vertices(directory: Path) -> Optional[int]:
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        return None
-    fp = json.loads(manifest_path.read_text(encoding="ascii")).get(
-        "fingerprint", {}
-    )
-    n = fp.get("num_vertices")
-    return int(n) if n is not None else None
-
-
-class _EdgeSource:
-    """A re-iterable (rows, cols) chunk stream.
-
-    Block loading scans the stream once per block pair, so the source
-    must restart: shard directories re-open their files, and in-memory
-    sequences re-iterate.  A one-shot iterator is materialized up front
-    (with a note in ``passes`` accounting that it then costs memory).
-    """
-
-    def __init__(self, edges, chunk_bytes: int) -> None:
-        self.passes = 0
-        self._directory: Optional[Path] = None
-        self._chunks: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
-        self._restartable = None
-        self._chunk_bytes = chunk_bytes
-        if isinstance(edges, (str, Path)):
-            self._directory = Path(edges)
-        elif isinstance(edges, (list, tuple)):
-            self._chunks = [
-                (np.asarray(r, dtype=np.int64), np.asarray(c, dtype=np.int64))
-                for r, c in edges
-            ]
-        elif hasattr(edges, "__iter__") and iter(edges) is not edges:
-            # A restartable chunk producer (e.g. the catalog's
-            # plan-backed edge stream): re-generate per pass instead of
-            # materializing, preserving the bounded-memory guarantee.
-            self._restartable = edges
-        else:
-            self._chunks = [
-                (np.asarray(r, dtype=np.int64), np.asarray(c, dtype=np.int64))
-                for r, c in edges
-            ]
-
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        self.passes += 1
-        if self._directory is not None:
-            return iter_shard_edges(
-                self._directory, chunk_bytes=self._chunk_bytes
-            )
-        if self._restartable is not None:
-            return (
-                (
-                    np.asarray(r, dtype=np.int64),
-                    np.asarray(c, dtype=np.int64),
-                )
-                for r, c in self._restartable
-            )
-        return iter(self._chunks)
+#: Entries per read of the spill.  A pass holds one read besides the
+#: block slabs, so its scratch memory stays fixed whatever the edge
+#: count.
+SPILL_READ_ENTRIES = 1 << 16
 
 
 def _check_vertex_count(n: int) -> None:
@@ -156,57 +90,6 @@ def _check_vertex_count(n: int) -> None:
             f"num_vertices={n:,} is too large for the closure key "
             f"src·n + dst (n² must stay below 2^63)"
         )
-
-
-def _rank_vertices(
-    source: _EdgeSource, num_vertices: Optional[int]
-) -> np.ndarray:
-    """Pass 0: ``rank[x]`` is x's position in ``(incidence, id)`` order.
-
-    Checks every non-loop endpoint against ``num_vertices``, or infers
-    the vertex count from the largest one.
-    """
-    infer = num_vertices is None
-    incidence = np.zeros(0 if infer else num_vertices, np.int64)
-    for rows, cols in source:
-        keep = rows != cols
-        ends = np.concatenate((rows[keep], cols[keep]))
-        if not len(ends):
-            continue
-        if int(ends.min()) < 0:
-            raise ValidationError(f"negative edge endpoint {int(ends.min())}")
-        top = int(ends.max()) + 1
-        if len(incidence) < top:
-            if not infer:
-                raise ValidationError(
-                    f"edge endpoint {top - 1} out of range for "
-                    f"num_vertices={len(incidence)}"
-                )
-            _check_vertex_count(top)
-            incidence = np.concatenate(
-                [incidence, np.zeros(top - len(incidence), np.int64)]
-            )
-        incidence += np.bincount(ends, minlength=len(incidence))
-    order = np.argsort(incidence, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank
-
-
-def _oriented_keys(
-    rank: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """Rank-space keys ``src·n + dst`` with ``src < dst``, self-loops
-    dropped; a key's source is ``key // n``."""
-    keep = rows != cols
-    if not keep.all():
-        rows, cols = rows[keep], cols[keep]
-    a, b = rank[rows], rank[cols]
-    src = np.minimum(a, b)
-    np.maximum(a, b, out=a)
-    src *= len(rank)
-    src += a
-    return src
 
 
 def _cut(sizes: np.ndarray, cap: int) -> List[Tuple[int, int]]:
@@ -236,14 +119,13 @@ class _Block:
 
 
 def _load_blocks(
-    source: _EdgeSource, rank: np.ndarray, ranges: Sequence[Tuple[int, int]]
+    chunks: Iterable[np.ndarray], n: int, ranges: Sequence[Tuple[int, int]]
 ) -> List[_Block]:
-    """One stream pass keeping the oriented edges whose source lies in
-    the given rank ranges, deduplicated by sort and adjacent difference."""
-    n = len(rank)
+    """One pass over the oriented keys keeping those whose source lies
+    in the given rank ranges, deduplicated by sort and adjacent
+    difference."""
     kept: List[List[np.ndarray]] = [[] for _ in ranges]
-    for rows, cols in source:
-        keys = _oriented_keys(rank, rows, cols)
+    for keys in chunks:
         for part, (lo, hi) in zip(kept, ranges):
             part.append(keys[(keys >= lo * n) & (keys < hi * n)])
     blocks = []
@@ -353,6 +235,169 @@ def _histogram(values: np.ndarray) -> Dict[int, int]:
     return {int(k): int(c) for k, c in zip(keys, counts)}
 
 
+class TrianglePass:
+    """Streamed triangle participation, fed a chunk at a time.
+
+    ``num_vertices=None`` infers the vertex count from the largest
+    endpoint.  :meth:`add` is pass 0, the one read of the source;
+    :meth:`result` runs pass 1 and the block-pair passes over the spill
+    and returns the :class:`TriangleStreamResult`, once, after the last
+    :meth:`add`.  The spill is closed on every exit path of a ``with``
+    block, errors included::
+
+        with TrianglePass(num_vertices, budget) as tri:
+            for rows, cols in chunks:
+                tri.add(rows, cols)
+            result = tri.result()
+    """
+
+    def __init__(
+        self,
+        num_vertices: Optional[int],
+        memory_budget_entries: int = DEFAULT_TRIANGLE_BUDGET_ENTRIES,
+    ) -> None:
+        if memory_budget_entries < 1:
+            raise ValidationError(
+                f"memory_budget_entries must be positive, got "
+                f"{memory_budget_entries}"
+            )
+        if num_vertices is not None:
+            _check_vertex_count(num_vertices)
+        self.memory_budget_entries = memory_budget_entries
+        self._infer = num_vertices is None
+        self._incidence = np.zeros(0 if self._infer else num_vertices, np.int64)
+        self._entries = 0
+        self._spill = tempfile.TemporaryFile()
+
+    def __enter__(self) -> "TrianglePass":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close (and so delete) the spill."""
+        self._spill.close()
+
+    def add(self, rows, cols) -> None:
+        """Pass 0 over one chunk: count incidence, check the endpoints and
+        spill the non-loop entries as int64 ``(row, col)`` pairs."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        keep = rows != cols
+        pairs = np.column_stack((rows[keep], cols[keep]))
+        if not len(pairs):
+            return
+        if int(pairs.min()) < 0:
+            raise ValidationError(f"negative edge endpoint {int(pairs.min())}")
+        top = int(pairs.max()) + 1
+        if len(self._incidence) < top:
+            if not self._infer:
+                raise ValidationError(
+                    f"edge endpoint {top - 1} out of range for "
+                    f"num_vertices={len(self._incidence)}"
+                )
+            _check_vertex_count(top)
+            self._incidence = np.concatenate(
+                [self._incidence, np.zeros(top - len(self._incidence), np.int64)]
+            )
+        self._incidence += np.bincount(pairs.ravel(), minlength=len(self._incidence))
+        self._spill.write(pairs)
+        self._entries += len(pairs)
+
+    def _orient(self, rank: np.ndarray) -> np.ndarray:
+        """Pass 1: rewrite the spilled pairs in place as rank-space keys
+        ``src·n + dst`` with ``src < dst``; returns the out-list counts."""
+        n = len(rank)
+        out_counts = np.zeros(n, np.int64)
+        spill = self._spill
+        # A key takes half a pair's bytes, so each write lands on pairs
+        # already read.
+        for start in range(0, self._entries, SPILL_READ_ENTRIES):
+            spill.seek(16 * start)
+            pairs = np.fromfile(spill, dtype=np.int64, count=2 * SPILL_READ_ENTRIES)
+            a, b = rank[pairs[0::2]], rank[pairs[1::2]]
+            src = np.minimum(a, b)
+            out_counts += np.bincount(src, minlength=n)
+            np.maximum(a, b, out=a)
+            src *= n
+            src += a
+            spill.seek(8 * start)
+            spill.write(src)
+        spill.truncate(8 * self._entries)
+        return out_counts
+
+    def _read_keys(self) -> Iterator[np.ndarray]:
+        """One pass over the spilled keys, :data:`SPILL_READ_ENTRIES` at
+        a time."""
+        self._spill.seek(0)
+        for _ in range(0, self._entries, SPILL_READ_ENTRIES):
+            yield np.fromfile(self._spill, dtype=np.int64, count=SPILL_READ_ENTRIES)
+
+    def result(self) -> TriangleStreamResult:
+        """Pass 1 and the block-pair passes; the measurement."""
+        order = np.argsort(self._incidence, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        n = len(rank)
+        # Blocks any two of which fit in the budget together.
+        ranges = _cut(self._orient(rank), max(1, self.memory_budget_entries // 2))
+        passes = 2
+
+        vertex_support = np.zeros(n, np.int64)
+        support: Dict[int, np.ndarray] = {}
+        edge_participation: Dict[int, int] = {}
+        peak = 0
+        for a_idx in range(len(ranges)):
+            for b_idx in range(a_idx, len(ranges)):
+                pair = sorted({a_idx, b_idx})
+                blocks = _load_blocks(
+                    self._read_keys(), n, [ranges[i] for i in pair]
+                )
+                passes += 1
+                held = sum(len(block.keys) for block in blocks)
+                peak = max(peak, held)
+                for idx, block in zip(pair, blocks):
+                    if idx not in support:
+                        support[idx] = np.zeros(len(block.keys), np.int64)
+                block_a = blocks[0]
+                # Wedge chunks no larger than the slabs keep the closure's
+                # scratch arrays in proportion to what the pair holds.
+                _close_wedges(
+                    block_a,
+                    blocks[-1],
+                    n,
+                    min(self.memory_budget_entries, held),
+                    support[a_idx],
+                    support[b_idx],
+                )
+            # Pair (a, last) was block a's last: its support is final, and
+            # each edge hands it to both endpoints.
+            done = support.pop(a_idx)
+            sums = np.concatenate(([0], np.cumsum(done)))
+            vertex_support[block_a.lo : block_a.hi] += (
+                sums[block_a.indptr[1:]] - sums[block_a.indptr[:-1]]
+            )
+            np.add.at(vertex_support, block_a.dst, done)
+            for count, edges_with in _histogram(done).items():
+                edge_participation[count] = (
+                    edge_participation.get(count, 0) + edges_with
+                )
+
+        vertex_tri = vertex_support // 2
+        return TriangleStreamResult(
+            num_vertices=n,
+            num_edges=sum(edge_participation.values()),
+            num_triangles=int(vertex_tri.sum()) // 3,
+            vertex_participation=_histogram(vertex_tri),
+            edge_participation=dict(sorted(edge_participation.items())),
+            memory_budget_entries=self.memory_budget_entries,
+            num_blocks=len(ranges),
+            stream_passes=passes,
+            peak_entries=peak,
+        )
+
+
 def triangle_stream(
     edges,
     num_vertices: Optional[int] = None,
@@ -364,90 +409,41 @@ def triangle_stream(
 
     ``edges`` is a shard directory written by a streamed run (its
     ``manifest.json`` supplies shard order and ``num_vertices``), or an
-    in-memory sequence/iterable of ``(rows, cols)`` array pairs.  The
-    edge set is treated as an undirected simple graph: orientations are
+    iterable of ``(rows, cols)`` array pairs, read once.  The edge set
+    is treated as an undirected simple graph: orientations are
     canonicalized, self-loops dropped, duplicates merged.
 
     At most ``memory_budget_entries`` oriented adjacency entries are
     held at once (see the module docstring for the one hub-vertex
     exception), and wedges are closed at most as many at a time as a
-    block pair holds entries, at the cost of re-streaming the source
-    once per block pair —
+    block pair holds entries.  The source is read once, in pass 0, and
+    the later passes read the :class:`TrianglePass` spill — 16 bytes per
+    non-loop entry in the temp directory, 8 after pass 1;
     ``stream_passes`` and ``peak_entries`` in the result record the
-    actual counts.  Vertex counts above :data:`MAX_TRIANGLE_VERTICES`
-    raise :class:`ValidationError`.
+    actual counts.  Shards are read through the checked reader
+    (:func:`repro.io.shards.read_shard`): one whose size or sha256
+    disagrees with the manifest raises
+    :class:`~repro.errors.ShardIntegrityError`.  Vertex counts above
+    :data:`MAX_TRIANGLE_VERTICES` raise :class:`ValidationError`.
     """
-    if memory_budget_entries < 1:
-        raise ValidationError(
-            f"memory_budget_entries must be positive, got "
-            f"{memory_budget_entries}"
-        )
-    if num_vertices is None and isinstance(edges, (str, Path)):
-        num_vertices = _manifest_num_vertices(Path(edges))
-    if num_vertices is not None:
-        _check_vertex_count(num_vertices)
-    source = _EdgeSource(edges, chunk_bytes)
-    rank = _rank_vertices(source, num_vertices)
-    n = len(rank)
-
-    # Pass 1: oriented out-counts in rank space, cut into blocks any two
-    # of which fit in the budget together.
-    out_counts = np.zeros(n, np.int64)
-    for rows, cols in source:
-        out_counts += np.bincount(
-            _oriented_keys(rank, rows, cols) // n, minlength=n
-        )
-    ranges = _cut(out_counts, max(1, memory_budget_entries // 2))
-
-    vertex_support = np.zeros(n, np.int64)
-    support: Dict[int, np.ndarray] = {}
-    edge_participation: Dict[int, int] = {}
-    peak = 0
-    for a_idx in range(len(ranges)):
-        for b_idx in range(a_idx, len(ranges)):
-            pair = sorted({a_idx, b_idx})
-            blocks = _load_blocks(source, rank, [ranges[i] for i in pair])
-            held = sum(len(block.keys) for block in blocks)
-            peak = max(peak, held)
-            for idx, block in zip(pair, blocks):
-                if idx not in support:
-                    support[idx] = np.zeros(len(block.keys), np.int64)
-            block_a = blocks[0]
-            # Wedge chunks no larger than the slabs keep the closure's
-            # scratch arrays in proportion to what the pair holds.
-            _close_wedges(
-                block_a,
-                blocks[-1],
-                n,
-                min(memory_budget_entries, held),
-                support[a_idx],
-                support[b_idx],
+    manifest = None
+    if isinstance(edges, (str, Path)):
+        manifest = RunManifest.load(edges)
+        recorded = manifest.fingerprint.get("num_vertices")
+        if num_vertices is None and recorded is not None:
+            num_vertices = int(recorded)
+    with TrianglePass(num_vertices, memory_budget_entries) as tri:
+        if manifest is None:
+            for rows, cols in edges:
+                tri.add(rows, cols)
+        else:
+            read_shards(
+                edges,
+                manifest,
+                lambda triples: tri.add(triples[:, 0], triples[:, 1]),
+                chunk_bytes=chunk_bytes,
             )
-        # Pair (a, last) was block a's last: its support is final, and
-        # each edge hands it to both endpoints.
-        done = support.pop(a_idx)
-        sums = np.concatenate(([0], np.cumsum(done)))
-        vertex_support[block_a.lo : block_a.hi] += (
-            sums[block_a.indptr[1:]] - sums[block_a.indptr[:-1]]
-        )
-        np.add.at(vertex_support, block_a.dst, done)
-        for count, edges_with in _histogram(done).items():
-            edge_participation[count] = (
-                edge_participation.get(count, 0) + edges_with
-            )
-
-    vertex_tri = vertex_support // 2
-    return TriangleStreamResult(
-        num_vertices=n,
-        num_edges=sum(edge_participation.values()),
-        num_triangles=int(vertex_tri.sum()) // 3,
-        vertex_participation=_histogram(vertex_tri),
-        edge_participation=dict(sorted(edge_participation.items())),
-        memory_budget_entries=memory_budget_entries,
-        num_blocks=len(ranges),
-        stream_passes=source.passes,
-        peak_entries=peak,
-    )
+        return tri.result()
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ bytes of fixed runs pinned by sha256."""
 
 import hashlib
 import io
-import json
 import tempfile
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from repro.io.tsv import ENCODE_ROW_BLOCK, iter_tsv_triples, write_tsv_triples
 from repro.models import noisy_skg_from_design
 from repro.parallel.scramble import scramble_permutation
 from repro.parallel.stream import generate_to_disk, read_streamed_degree_distribution
+from repro.runtime.checkpoint import RunManifest, ShardRecord, payload_checksum
 from repro.validate import iter_shard_edges
 from tests.oracles import fstring_tsv, read_tsv_lines
 
@@ -122,9 +122,11 @@ def _read_with_degree_reader(path: Path) -> None:
 
 
 def _read_with_shard_edges(path: Path) -> None:
-    (path.parent / "manifest.json").write_text(
-        json.dumps({"shards": [{"filename": path.name}]})
-    )
+    # The record matches the malformed bytes, so the checked reader
+    # passes them on and the parser is what fails.
+    data = path.read_bytes()
+    record = ShardRecord(0, path.name, 0, payload_checksum(data), len(data))
+    RunManifest({"n_ranks": 1}, "edges", shards={0: record}).save(path.parent)
     list(iter_shard_edges(path.parent))
 
 

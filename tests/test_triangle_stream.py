@@ -30,7 +30,8 @@ from repro.validate import (
     iter_shard_edges,
     triangle_stream,
 )
-from repro.validate.triangle_stream import MAX_TRIANGLE_VERTICES
+import repro.validate.triangle_pass as triangle_pass
+from repro.validate.triangle_pass import MAX_TRIANGLE_VERTICES
 from tests.oracles import triangle_stream_by_id
 
 DESIGN = PowerLawDesign([3, 4, 5], "center")
@@ -226,7 +227,9 @@ class TestExactness:
             assert getattr(tiny, field) == getattr(base, field), field
 
     @pytest.mark.parametrize("budget", [1024, 4096])
-    def test_wedges_closed_in_several_chunks_per_block_pair(self, budget):
+    def test_wedges_closed_in_several_chunks_per_block_pair(
+        self, budget, monkeypatch
+    ):
         # At these budgets some block pairs hold more wedges than the
         # budget, so their closure runs in several chunks.
         design = PowerLawDesign([3, 4, 5, 9], "center")
@@ -235,11 +238,56 @@ class TestExactness:
         coo = as_coo(design.realize().adjacency)
         edges = [(coo.rows, coo.cols)]
         base = triangle_stream(edges, design.num_vertices)
+
+        # Spy on the wedge cut: per block pair, the chunk cap the pair
+        # allows and each chunk's (wedges, pivot rows).  The blocks are
+        # cut before the first pair closes, so every later cut is a
+        # wedge cut.
+        pairs = []
+        real_close, real_cut = triangle_pass._close_wedges, triangle_pass._cut
+
+        def close_spy(block_a, block_b, *args):
+            held = len(block_a.keys) + (block_b is not block_a) * len(block_b.keys)
+            pairs.append((min(budget, held), []))
+            real_close(block_a, block_b, *args)
+
+        def cut_spy(sizes, cap):
+            ranges = real_cut(sizes, cap)
+            if pairs:
+                pairs[-1][1].extend(
+                    (int(sizes[lo:hi].sum()), hi - lo) for lo, hi in ranges
+                )
+            return ranges
+
+        monkeypatch.setattr(triangle_pass, "_close_wedges", close_spy)
+        monkeypatch.setattr(triangle_pass, "_cut", cut_spy)
         chunked = triangle_stream(
             edges, design.num_vertices, memory_budget_entries=budget
         )
         assert base.num_triangles == design.num_triangles
         assert measured(chunked) == measured(base)
+        assert len(pairs) == chunked.num_blocks * (chunked.num_blocks + 1) // 2
+        for cap, chunks in pairs:
+            for wedges, pivot_rows in chunks:
+                assert wedges <= cap or pivot_rows == 1
+        assert max(len(chunks) for _, chunks in pairs) > 1
+
+    def test_one_shot_generator_source_matches_oracle(self, rng):
+        n = 24
+        chunks = [
+            (
+                rng.integers(0, n, size=40).astype(np.int64),
+                rng.integers(0, n, size=40).astype(np.int64),
+            )
+            for _ in range(3)
+        ]
+        result = triangle_stream(
+            (chunk for chunk in chunks), n, memory_budget_entries=9
+        )
+        assert result.num_blocks > 1
+        assert measured(result) == triangle_stream_by_id(
+            chunks, n, memory_budget_entries=9
+        )
 
     def test_empty_input(self):
         result = triangle_stream([], 0)
