@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.design.distribution import DegreeDistribution
-from repro.errors import GenerationError, StorageError
+from repro.errors import GenerationError, StorageError, ValidationError
 from repro.io.tsv import write_tsv_triples
 from repro.runtime.checkpoint import (
     STATUS_COMPLETE,
@@ -97,8 +97,18 @@ class StreamingDegreeAccumulator:
         self.edges_seen = 0
 
     def add_block_rows(self, rows: np.ndarray) -> None:
-        """Fold one block's row indices in."""
+        """Fold one block's row indices in.
+
+        Raises :class:`ValidationError` for a row outside
+        ``[0, num_vertices)``.
+        """
         if len(rows):
+            for row in (rows.min(), rows.max()):
+                if not 0 <= row < self.num_vertices:
+                    raise ValidationError(
+                        f"row {int(row)} is outside [0, num_vertices="
+                        f"{self.num_vertices})"
+                    )
             self._row_counts += np.bincount(rows, minlength=self.num_vertices)
             self.edges_seen += len(rows)
 

@@ -33,7 +33,6 @@ from repro.errors import GenerationError
 from repro.semiring.base import Semiring
 from repro.semiring.standard import PLUS_TIMES
 from repro.sparse.convert import AnySparse, as_coo
-from repro.sparse.kernels import lex_sort_triples
 
 
 def tile_row_ranges(
@@ -102,4 +101,11 @@ def kron_tiles(
         vals = semiring.mul(
             np.repeat(ca.vals[s:e], cb.nnz), np.tile(cb.vals, k)
         )
-        yield lex_sort_triples(rows, cols, vals)
+        # Both inputs are canonical (sorted by (row, col), no
+        # duplicates), so the repeat/tile order already lists each
+        # output row's entries by ascending col: they come from one
+        # ``bp`` row's entries in col order, each spread over one ``c``
+        # row's entries in col order, and ``c``'s cols stay below
+        # ``mb``.  A stable sort by row alone is then the lex order.
+        order = np.argsort(rows, kind="stable")
+        yield rows[order], cols[order], vals[order]

@@ -4,13 +4,17 @@ One event loop, three endpoints:
 
 * ``GET /v1/design/{digest}`` and ``POST /v1/design`` — analytic
   :class:`~repro.catalog.DesignProperties` through the
-  :class:`~repro.catalog.DesignCatalog`.  A **warm** hit is one cache
-  file read (never the engine); a **cold** compute runs in the worker
-  executor so the event loop stays responsive, and concurrent identical
-  cold requests are coalesced into a single computation
-  (*single-flight*).  Responses carry an ``ETag`` equal to the record
-  checksum and an immutable ``Cache-Control`` — the record for a digest
-  can never change, so clients may cache forever.
+  :class:`~repro.catalog.DesignCatalog`.  A **warm** hit is answered
+  from memory: each record in the catalog cache is read and validated
+  once, and its 200 and 304 replies are kept prebuilt, so a hit is one
+  socket write on the event loop (never a file read, the executor or
+  the engine).  A miss reads the cache file in the worker executor; a
+  **cold** compute runs there too, so the event loop stays responsive,
+  and concurrent identical cold requests are coalesced into a single
+  computation (*single-flight*).  Responses carry an ``ETag`` equal to
+  the record checksum and an immutable ``Cache-Control`` — a record is
+  a pure function of its digest and of whether it holds the
+  participation histograms, so clients may cache forever.
 * ``GET /v1/tiles/{digest}/{rank}?start=&stop=`` — on-demand tile
   generation through the existing plan/model layer, streamed as chunked
   :mod:`repro.net` frames (OPEN / TILE / COMMIT / RESULT).  Tiles are
@@ -71,14 +75,19 @@ from repro.serve.http import (
     ChunkedWriter,
     PayloadTooLarge,
     Request,
+    empty_response,
+    json_response,
     read_request,
-    send_empty,
     send_json,
 )
 
 #: Cache-Control for design records: the record for a digest is a pure
 #: function of the digest, so it is immutable by construction.
 _DESIGN_CACHE_CONTROL = "public, max-age=31536000, immutable"
+
+#: Bucket bounds (seconds) of the per-phase server histograms: a 1-2-5
+#: series that resolves 10 µs to 10 ms.
+PHASE_BUCKETS = (1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2)
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,41 @@ class _Registered:
     subject: object  # PowerLawDesign (kron) or a GeneratorModel instance
     design: PowerLawDesign
     spec: Dict
+
+
+@dataclass(frozen=True)
+class _DesignReplies:
+    """One design record's complete 200 (``ok``) and 304
+    (``not_modified``) responses, head and body, built once."""
+
+    etag: str
+    has_participation: bool
+    ok: bytes
+    not_modified: bytes
+
+
+def _design_replies(digest: str, record, cached: bool) -> _DesignReplies:
+    etag = f'"{record.checksum()}"'
+    headers = {"ETag": etag, "Cache-Control": _DESIGN_CACHE_CONTROL}
+    doc = {
+        "digest": digest,
+        "source": record.source,
+        "cached": cached,
+        "record": record.to_doc(),
+    }
+    return _DesignReplies(
+        etag=etag,
+        has_participation=record.triangles.has_participation,
+        ok=json_response(200, doc, headers=headers),
+        not_modified=empty_response(304, headers=headers),
+    )
+
+
+def _answers(replies: Optional[_DesignReplies], include_participation: bool) -> bool:
+    """Whether ``replies`` may answer a request (with participation?)."""
+    return replies is not None and (
+        replies.has_participation or not include_participation
+    )
 
 
 def _compute_analytic(catalog, subject, include_participation):
@@ -227,6 +271,9 @@ class DesignServer:
         self.tracer = tracer if tracer is not None else Tracer()
         self.catalog = DesignCatalog(config.cache_dir)
         self.registry: Dict[str, _Registered] = {}
+        #: The warm tier: per digest, the replies of the newest record
+        #: read from or stored to the catalog cache.
+        self._warm: Dict[str, _DesignReplies] = {}
         self._plans: Dict[Tuple[str, int, int], object] = {}
         self._inflight: Dict[Tuple[str, bool], asyncio.Task] = {}
         self._executor = concurrent.futures.ThreadPoolExecutor(
@@ -238,6 +285,22 @@ class DesignServer:
         self._handled = 0
         self._done = asyncio.Event()
         self.port: Optional[int] = None
+        metric = self.metrics
+        self._requests = metric.counter("serve.requests")
+        self._active_gauge = metric.gauge("serve.active_requests")
+        self._request_s = metric.histogram("serve.request_s")
+        self._cache_hits = metric.counter("serve.design_cache_hits")
+        self._tiles_streamed = metric.counter("serve.tiles_streamed")
+        self._parse_s = metric.histogram("serve.parse_s", PHASE_BUCKETS)
+        self._lookup_s = metric.histogram("serve.design.lookup_s", PHASE_BUCKETS)
+        self._write_s = metric.histogram("serve.design.write_s", PHASE_BUCKETS)
+        self._tile_generate_s = metric.histogram(
+            "serve.tiles.generate_s", PHASE_BUCKETS
+        )
+        self._tile_encode_s = metric.histogram(
+            "serve.tiles.encode_s", PHASE_BUCKETS
+        )
+        self._tile_write_s = metric.histogram("serve.tiles.write_s", PHASE_BUCKETS)
 
     # -- registry -----------------------------------------------------------
     def register(self, doc) -> str:
@@ -294,6 +357,7 @@ class DesignServer:
                     break
                 if request is None:
                     break
+                self._parse_s.observe(time.perf_counter() - request.arrived)
                 keep_alive = await self._dispatch(request, writer)
                 self._handled += 1
                 if (
@@ -315,7 +379,7 @@ class DesignServer:
 
     async def _dispatch(self, request: Request, writer) -> bool:
         """Route one request; returns whether to keep the connection."""
-        self.metrics.counter("serve.requests").inc()
+        self._requests.inc()
         if self._active >= self.config.max_concurrency:
             self.metrics.counter("serve.rejected_busy").inc()
             await send_json(
@@ -326,7 +390,7 @@ class DesignServer:
             )
             return request.keep_alive
         self._active += 1
-        self.metrics.gauge("serve.active_requests").set(self._active)
+        self._active_gauge.set(self._active)
         started = time.monotonic()
         deadline = started + self.config.request_timeout_s
         try:
@@ -357,10 +421,8 @@ class DesignServer:
             return request.keep_alive
         finally:
             self._active -= 1
-            self.metrics.gauge("serve.active_requests").set(self._active)
-            self.metrics.histogram("serve.request_s").observe(
-                time.monotonic() - started
-            )
+            self._active_gauge.set(self._active)
+            self._request_s.observe(time.monotonic() - started)
 
     async def _route(self, request: Request, writer, deadline: float) -> None:
         parts = [p for p in request.path.split("/") if p]
@@ -403,18 +465,49 @@ class DesignServer:
         raise _HttpError(404, f"unknown path {request.path!r}")
 
     # -- design records -----------------------------------------------------
-    async def _load_cached(self, digest: str, include_participation: bool):
-        """Warm path: one cache read in the executor, never the engine."""
-        if self.catalog.cache is None:
-            return None
-        loop = asyncio.get_running_loop()
-        record = await loop.run_in_executor(
-            self._executor, self.catalog.cache.load, digest, "analytic"
-        )
-        if record is not None and include_participation:
-            if not record.triangles.has_participation:
-                return None
-        return record
+    def _keep_warm(self, digest: str, replies: _DesignReplies) -> _DesignReplies:
+        """Make ``replies`` the digest's warm entry; returns the entry.
+
+        Each record that lands replaces the entry, as each store
+        replaces the digest's one cache file, except that a record
+        without the participation histograms never replaces one with
+        them: it can only be a stale read or a slower plain compute
+        racing the upgrade.
+        """
+        current = self._warm.get(digest)
+        if (
+            current is None
+            or replies.has_participation
+            or not current.has_participation
+        ):
+            self._warm[digest] = current = replies
+        return current
+
+    def _read_cached(self, digest: str) -> Optional[_DesignReplies]:
+        """One validated cache read, its replies built (executor side)."""
+        record = self.catalog.cache.load(digest, "analytic")
+        return None if record is None else _design_replies(digest, record, True)
+
+    async def _lookup(
+        self, digest: str, include_participation: bool
+    ) -> Optional[_DesignReplies]:
+        """The warm entry for ``digest``, else one cache read in the
+        executor that fills it; ``None`` when neither has a record that
+        satisfies the request (never the engine)."""
+        started = time.perf_counter()
+        replies = self._warm.get(digest)
+        if (
+            not _answers(replies, include_participation)
+            and self.catalog.cache is not None
+        ):
+            loop = asyncio.get_running_loop()
+            read = await loop.run_in_executor(
+                self._executor, self._read_cached, digest
+            )
+            if read is not None:
+                replies = self._keep_warm(digest, read)
+        self._lookup_s.observe(time.perf_counter() - started)
+        return replies if _answers(replies, include_participation) else None
 
     async def _compute_single_flight(
         self, digest: str, subject, include_participation: bool, deadline: float
@@ -424,21 +517,15 @@ class DesignServer:
         The first requester creates the compute task; everyone else
         awaits the same task through a shield, so a waiter hitting its
         deadline abandons the wait without cancelling the computation
-        the other requesters (and the cache) still want.
+        the other requesters (and the cache) still want.  The task
+        fills the warm entry once the catalog cache holds the record.
         """
         key = (digest, include_participation)
         task = self._inflight.get(key)
         if task is None:
-            loop = asyncio.get_running_loop()
             self.metrics.counter("serve.design_computes").inc()
-
-            def _run():
-                return _compute_analytic(
-                    self.catalog, subject, include_participation
-                )
-
             task = asyncio.ensure_future(
-                loop.run_in_executor(self._executor, _run)
+                self._compute(digest, subject, include_participation)
             )
             self._inflight[key] = task
             task.add_done_callback(lambda _t: self._inflight.pop(key, None))
@@ -447,24 +534,57 @@ class DesignServer:
             raise asyncio.TimeoutError
         return await asyncio.wait_for(asyncio.shield(task), timeout=remaining)
 
+    async def _compute(self, digest: str, subject, include_participation: bool):
+        loop = asyncio.get_running_loop()
+        record = await loop.run_in_executor(
+            self._executor,
+            _compute_analytic,
+            self.catalog,
+            subject,
+            include_participation,
+        )
+        if self.catalog.cache is not None:
+            # DesignCatalog.analytic stored it: the record is in the cache.
+            self._keep_warm(digest, _design_replies(digest, record, True))
+        return record
+
     async def _respond_design(
-        self, request: Request, writer, digest: str, record, cached: bool
+        self, request: Request, writer, replies: _DesignReplies
     ) -> None:
-        etag = f'"{record.checksum()}"'
-        headers = {"ETag": etag, "Cache-Control": _DESIGN_CACHE_CONTROL}
-        if request.header("if-none-match", "").strip() == etag:
-            await send_empty(writer, 304, headers=headers)
+        started = time.perf_counter()
+        if request.header("if-none-match", "").strip() == replies.etag:
+            writer.write(replies.not_modified)
+        else:
+            writer.write(replies.ok)
+        await writer.drain()
+        self._write_s.observe(time.perf_counter() - started)
+
+    async def _serve_design(
+        self,
+        request: Request,
+        writer,
+        digest: str,
+        include_participation: bool,
+        deadline: float,
+    ) -> None:
+        """Answer from the warm tier or the cache; compute on a miss."""
+        replies = await self._lookup(digest, include_participation)
+        if replies is not None:
+            self._cache_hits.inc()
+            await self._respond_design(request, writer, replies)
             return
-        await send_json(
-            writer,
-            200,
-            {
-                "digest": digest,
-                "source": record.source,
-                "cached": cached,
-                "record": record.to_doc(),
-            },
-            headers=headers,
+        registered = self.registry.get(digest)
+        if registered is None:
+            raise _HttpError(
+                404,
+                f"unknown digest {digest}; POST its design spec to "
+                "/v1/design first",
+            )
+        record = await self._compute_single_flight(
+            digest, registered.subject, include_participation, deadline
+        )
+        await self._respond_design(
+            request, writer, _design_replies(digest, record, False)
         )
 
     async def _handle_design_post(
@@ -478,15 +598,9 @@ class DesignServer:
             isinstance(doc, dict) and doc.get("participation", False)
         )
         digest = self.register(doc)
-        record = await self._load_cached(digest, include_participation)
-        if record is not None:
-            self.metrics.counter("serve.design_cache_hits").inc()
-            await self._respond_design(request, writer, digest, record, True)
-            return
-        record = await self._compute_single_flight(
-            digest, self.registry[digest].subject, include_participation, deadline
+        await self._serve_design(
+            request, writer, digest, include_participation, deadline
         )
-        await self._respond_design(request, writer, digest, record, False)
 
     async def _handle_design_get(
         self, request: Request, writer, raw_digest: str, deadline: float
@@ -495,38 +609,20 @@ class DesignServer:
         include_participation = request.query.get("participation") in (
             "1", "true", "yes",
         )
-        record = await self._load_cached(digest, include_participation)
-        if record is not None:
-            self.metrics.counter("serve.design_cache_hits").inc()
-            await self._respond_design(request, writer, digest, record, True)
-            return
-        registered = self.registry.get(digest)
-        if registered is None:
-            raise _HttpError(
-                404,
-                f"unknown digest {digest}; POST its design spec to "
-                "/v1/design first",
-            )
-        record = await self._compute_single_flight(
-            digest, registered.subject, include_participation, deadline
+        await self._serve_design(
+            request, writer, digest, include_participation, deadline
         )
-        await self._respond_design(request, writer, digest, record, False)
 
     # -- tile streams -------------------------------------------------------
-    def _build_plan(self, registered: _Registered, ranks: int, budget: int):
-        key = (registered.digest, ranks, budget)
-        plan = self._plans.get(key)
-        if plan is None:
-            if registered.spec["model"] == "kron":
-                plan = plan_from_design(
-                    registered.design, ranks, memory_budget_entries=budget
-                )
-            else:
-                plan = plan_from_model(
-                    registered.subject, ranks, memory_budget_entries=budget
-                )
-            self._plans[key] = plan
-        return plan
+    @staticmethod
+    def _build_plan(registered: _Registered, ranks: int, budget: int):
+        if registered.spec["model"] == "kron":
+            return plan_from_design(
+                registered.design, ranks, memory_budget_entries=budget
+            )
+        return plan_from_model(
+            registered.subject, ranks, memory_budget_entries=budget
+        )
 
     async def _handle_tiles(
         self, request: Request, writer, raw_digest: str, raw_rank: str, deadline: float
@@ -572,19 +668,23 @@ class DesignServer:
                 f"range of {stop - start} tiles exceeds the per-request "
                 f"limit of {self.config.max_tiles_per_request}",
             )
-        loop = asyncio.get_running_loop()
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise asyncio.TimeoutError
-        try:
-            plan = await asyncio.wait_for(
-                loop.run_in_executor(
-                    self._executor, self._build_plan, registered, ranks, budget
-                ),
-                timeout=remaining,
-            )
-        except ReproError as exc:
-            raise _HttpError(422, f"cannot plan this run: {exc}") from exc
+        key = (digest, ranks, budget)
+        plan = self._plans.get(key)
+        if plan is None:
+            loop = asyncio.get_running_loop()
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise asyncio.TimeoutError
+            try:
+                plan = await asyncio.wait_for(
+                    loop.run_in_executor(
+                        self._executor, self._build_plan, registered, ranks, budget
+                    ),
+                    timeout=remaining,
+                )
+            except ReproError as exc:
+                raise _HttpError(422, f"cannot plan this run: {exc}") from exc
+            self._plans[key] = plan
         task = plan.tasks[rank]
         await self._stream_tiles(
             writer, digest, plan, task, rank, start, stop, deadline
@@ -598,7 +698,10 @@ class DesignServer:
         The generator is pulled tile-by-tile in the executor (the pull
         is the only blocking piece), so a disconnecting client abandons
         at most one in-progress ``next()`` — there are no queues,
-        producer tasks, or shared-memory segments to leak.
+        producer tasks, or shared-memory segments to leak.  An explicit
+        ``[start, stop)`` pulls exactly ``stop`` tiles.  Each sent tile
+        observes its generate (the pulls since the last sent tile),
+        encode and write times.
         """
         loop = asyncio.get_running_loop()
         chunked = ChunkedWriter(
@@ -627,7 +730,8 @@ class DesignServer:
                     rank=rank,
                 )
             )
-            while True:
+            pulled = time.perf_counter()
+            while stop is None or index < stop:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise asyncio.TimeoutError
@@ -636,8 +740,6 @@ class DesignServer:
                     timeout=remaining,
                 )
                 if tile is sentinel:
-                    break
-                if stop is not None and index >= stop:
                     break
                 if index >= start:
                     if sent >= self.config.max_tiles_per_request:
@@ -648,17 +750,23 @@ class DesignServer:
                             "tiles",
                         )
                     rows, cols, vals = tile
-                    await chunked.write(
-                        encode_frame(
-                            FRAME_TILE,
-                            encode_tile_payload(rows, cols, vals),
-                            rank=rank,
-                            tile_index=index,
-                        )
+                    encoding = time.perf_counter()
+                    frame = encode_frame(
+                        FRAME_TILE,
+                        encode_tile_payload(rows, cols, vals),
+                        rank=rank,
+                        tile_index=index,
                     )
+                    writing = time.perf_counter()
+                    await chunked.write(frame)
+                    written = time.perf_counter()
+                    self._tile_generate_s.observe(encoding - pulled)
+                    self._tile_encode_s.observe(writing - encoding)
+                    self._tile_write_s.observe(written - writing)
+                    pulled = written
                     sent += 1
                     nnz += int(rows.shape[0])
-                    self.metrics.counter("serve.tiles_streamed").inc()
+                    self._tiles_streamed.inc()
                 index += 1
             stats = {"rank": rank, "tiles": sent, "nnz": nnz}
             await chunked.write(

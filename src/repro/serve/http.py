@@ -8,7 +8,9 @@ small — exactly what the design/tile endpoints need:
 * :func:`read_request` — parse one request (request line, headers,
   ``Content-Length`` body) with hard limits on header and body size;
 * :class:`Request` — method, path, parsed query, headers, body;
-* :func:`send_json` / :func:`send_empty` — fixed-length responses;
+* :func:`json_response` / :func:`empty_response` — the bytes of a
+  fixed-length response (the design server prebuilds them for warm
+  records), and :func:`send_json`, which writes a JSON one;
 * :class:`ChunkedWriter` — a ``Transfer-Encoding: chunked`` response
   body, one chunk per :mod:`repro.net` frame, so the tile stream's
   framing survives any HTTP client that honours chunk boundaries or
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 from urllib.parse import unquote, urlsplit
@@ -73,6 +76,9 @@ class Request:
     body: bytes = b""
     #: Raw request target as received (for logging/span attributes).
     target: str = ""
+    #: ``time.perf_counter()`` when the request line arrived, so the
+    #: parse time excludes the keep-alive wait before it.
+    arrived: float = 0.0
 
     @property
     def keep_alive(self) -> bool:
@@ -99,6 +105,7 @@ async def read_request(
         raise BadRequest(f"unreadable request line: {exc}") from exc
     if not line:
         return None
+    arrived = time.perf_counter()
     if len(line) > MAX_HEADER_BYTES:
         raise BadRequest("request line exceeds the header budget")
     try:
@@ -165,6 +172,7 @@ async def read_request(
         headers=headers,
         body=body,
         target=target,
+        arrived=arrived,
     )
 
 
@@ -188,30 +196,32 @@ def _head(
     return "\r\n".join(lines).encode("ascii")
 
 
+def json_response(
+    status: int, doc, *, headers: Optional[Dict[str, str]] = None
+) -> bytes:
+    """The bytes of one fixed-length JSON response (head and body)."""
+    body = (json.dumps(doc, sort_keys=True) + "\n").encode("ascii")
+    head = dict(headers or {})
+    head.setdefault("Content-Type", "application/json")
+    return _head(status, head, content_length=len(body)) + body
+
+
+def empty_response(
+    status: int, *, headers: Optional[Dict[str, str]] = None
+) -> bytes:
+    """The bytes of one bodyless response (304 and friends)."""
+    return _head(status, dict(headers or {}), content_length=0)
+
+
 async def send_json(
     writer: asyncio.StreamWriter,
     status: int,
     doc,
     *,
     headers: Optional[Dict[str, str]] = None,
-) -> int:
-    """One fixed-length JSON response; returns the body byte count."""
-    body = (json.dumps(doc, sort_keys=True) + "\n").encode("ascii")
-    head = dict(headers or {})
-    head.setdefault("Content-Type", "application/json")
-    writer.write(_head(status, head, content_length=len(body)) + body)
-    await writer.drain()
-    return len(body)
-
-
-async def send_empty(
-    writer: asyncio.StreamWriter,
-    status: int,
-    *,
-    headers: Optional[Dict[str, str]] = None,
 ) -> None:
-    """A bodyless response (304 and friends)."""
-    writer.write(_head(status, dict(headers or {}), content_length=0))
+    """Write one fixed-length JSON response."""
+    writer.write(json_response(status, doc, headers=headers))
     await writer.drain()
 
 
@@ -268,7 +278,8 @@ __all__ = [
     "MAX_HEADER_BYTES",
     "PayloadTooLarge",
     "Request",
+    "empty_response",
+    "json_response",
     "read_request",
-    "send_empty",
     "send_json",
 ]

@@ -1,12 +1,13 @@
 """Unit tests for streaming (out-of-core) generation and validation."""
 
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.design import PowerLawDesign
-from repro.errors import GenerationError
+from repro.errors import GenerationError, ValidationError
 from repro.parallel import (
     StreamingDegreeAccumulator,
     generate_to_disk,
@@ -43,6 +44,24 @@ class TestStreamingAccumulator:
     def test_rejects_empty_graph(self):
         with pytest.raises(GenerationError):
             StreamingDegreeAccumulator(0)
+
+    @pytest.mark.parametrize("row", [7, -3])
+    def test_out_of_range_row_is_a_validation_error(self, row):
+        acc = StreamingDegreeAccumulator(5)
+        acc.add_block_rows(np.array([0, 4]))
+        message = re.escape(f"row {row} is outside [0, num_vertices=5)")
+        with pytest.raises(ValidationError, match=message):
+            acc.add_block_rows(np.array([1, row, 2]))
+        assert acc.edges_seen == 2
+        assert acc.distribution().to_dict() == {0: 3, 1: 2}
+
+    @pytest.mark.parametrize("row", [7, -3])
+    def test_rank_file_with_out_of_range_row(self, tmp_path, row):
+        path = tmp_path / "rank-0.tsv"
+        path.write_text(f"0\t1\t1\n{row}\t0\t1\n1\t0\t1\n")
+        message = re.escape(f"row {row} is outside [0, num_vertices=5)")
+        with pytest.raises(ValidationError, match=message):
+            read_streamed_degree_distribution([path], 5)
 
 
 class TestStreamedDistribution:

@@ -14,6 +14,8 @@ import time
 
 import pytest
 
+from repro._version import __version__
+from repro.catalog import CatalogCache, DesignProperties
 from repro.errors import ServeError, ServeProtocolError
 from repro.net.codec import (
     FRAME_ABORT,
@@ -321,6 +323,18 @@ class TestDisconnect:
         assert again.rows.tobytes() == full.rows.tobytes()
 
 
+def _computes(metrics) -> float:
+    return metrics.counter("serve.design_computes").snapshot()
+
+
+def _design_get(digest, etag=None) -> bytes:
+    conditional = f"If-None-Match: {etag}\r\n" if etag else ""
+    return (
+        f"GET /v1/design/{digest} HTTP/1.1\r\nHost: localhost\r\n"
+        f"{conditional}\r\n"
+    ).encode()
+
+
 class TestCaching:
     def test_etag_revalidation_304(self, client):
         reply = client.post_design(SPEC)
@@ -338,6 +352,169 @@ class TestCaching:
             assert client.get_design(digest).doc["cached"] is True
         after = server.metrics.counter("serve.design_computes").snapshot()
         assert after == before
+
+    def test_warm_replies_are_byte_identical_to_disk_reads(
+        self, server, client, tmp_path, monkeypatch
+    ):
+        """Memory hits write the bytes a cache file read answers with,
+        and those are the bytes of the record's JSON reply."""
+        digest = client.post_design(SPEC)["digest"]
+        cache_dir = str(tmp_path / "cache")
+        record = CatalogCache(cache_dir).load(digest, "analytic")
+        etag = f'"{record.checksum()}"'
+        body = (
+            json.dumps(
+                {
+                    "cached": True,
+                    "digest": digest,
+                    "record": record.to_doc(),
+                    "source": "analytic",
+                },
+                sort_keys=True,
+            )
+            + "\n"
+        ).encode()
+        head = (
+            "{status}\r\n"
+            f"Server: repro-serve/{__version__}\r\n"
+            f"ETag: {etag}\r\n"
+            "Cache-Control: public, max-age=31536000, immutable\r\n"
+        )
+        ok = (
+            head.format(status="HTTP/1.1 200 OK")
+            + "Content-Type: application/json\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode() + body
+        not_modified = (
+            head.format(status="HTTP/1.1 304 Not Modified")
+            + "Content-Length: 0\r\n\r\n"
+        ).encode()
+
+        loads = []
+        load = CatalogCache.load
+
+        def counted(cache, *args):
+            loads.append(args)
+            return load(cache, *args)
+
+        monkeypatch.setattr(CatalogCache, "load", counted)
+        # The fixture server's entry was filled by the compute.
+        assert _raw_request(server.port, _design_get(digest)) == ok
+        assert _raw_request(server.port, _design_get(digest, etag)) == not_modified
+        assert loads == []
+        # Fresh servers over the same cache: the first reply of each is
+        # a file read (a 200 on one, a 304 on the other), the rest hits.
+        for first, expected in ((None, ok), (etag, not_modified)):
+            fresh = start_in_thread(ServerConfig(cache_dir=cache_dir))
+            try:
+                del loads[:]
+                assert _raw_request(fresh.port, _design_get(digest, first)) == expected
+                assert loads == [(digest, "analytic")]
+                assert _raw_request(fresh.port, _design_get(digest)) == ok
+                assert _raw_request(fresh.port, _design_get(digest, etag)) == not_modified
+                assert len(loads) == 1
+            finally:
+                fresh.stop()
+
+    def test_warm_hits_read_no_file_and_submit_nothing(
+        self, server, client, monkeypatch
+    ):
+        import repro.serve.app as app_module
+
+        spec_b = {**SPEC, "star_sizes": [2, 3, 4]}
+        digests = [client.post_design(spec)["digest"] for spec in (SPEC, spec_b)]
+        etags = [client.get_design(digest).etag for digest in digests]
+        computes = _computes(server.metrics)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm hit left the event loop")
+
+        monkeypatch.setattr(CatalogCache, "load", refuse)
+        monkeypatch.setattr(server.server._executor, "submit", refuse)
+        monkeypatch.setattr(app_module, "_compute_analytic", refuse)
+        for _ in range(3):
+            for spec, digest, etag in zip((SPEC, spec_b), digests, etags):
+                reply = client.get_design(digest)
+                assert (reply.status, reply.etag) == (200, etag)
+                assert reply.doc["cached"] is True
+                assert client.get_design(digest, etag=etag).status == 304
+                posted = client.post_design(spec)
+                assert posted == reply.doc
+        assert _computes(server.metrics) == computes
+
+    def test_participation_upgrade_replaces_the_warm_record(
+        self, server, client, tmp_path
+    ):
+        digest = client.post_design(SPEC)["digest"]
+        plain = client.get_design(digest)
+        assert plain.doc["cached"] is True
+        assert not DesignProperties.from_doc(
+            plain.record_doc
+        ).triangles.has_participation
+        computes = _computes(server.metrics)
+
+        upgraded = client.get_design(digest, participation=True)
+        assert _computes(server.metrics) == computes + 1
+        assert upgraded.doc["cached"] is False
+        assert DesignProperties.from_doc(
+            upgraded.record_doc
+        ).triangles.has_participation
+        assert upgraded.etag != plain.etag
+
+        # The upgrade replaced the digest's record, as it replaced the
+        # cache file: plain GETs now answer the upgraded record.
+        stored = CatalogCache(tmp_path / "cache").load(digest, "analytic")
+        for participation in (False, True):
+            again = client.get_design(digest, participation=participation)
+            assert again.etag == upgraded.etag == f'"{stored.checksum()}"'
+            assert again.doc["cached"] is True
+            assert again.record_doc == upgraded.record_doc == stored.to_doc()
+        assert _computes(server.metrics) == computes + 1
+
+    def test_memory_only_server_recomputes_every_get(self):
+        metrics = MetricsRegistry()
+        handle = start_in_thread(ServerConfig(cache_dir=None), metrics=metrics)
+        try:
+            with ServeClient(handle.base_url) as c:
+                reply = c.post_design(SPEC)
+                assert reply["cached"] is False
+                for _ in range(3):
+                    again = c.get_design(reply["digest"])
+                    assert again.doc == reply
+        finally:
+            handle.stop()
+        assert _computes(metrics) == 4
+
+
+class TestPhaseHistograms:
+    def test_counts_follow_the_requests_and_tiles_sent(self, server, client):
+        digest = client.post_design(SPEC)["digest"]
+        etag = client.get_design(digest).etag
+        assert client.get_design(digest, etag=etag).status == 304
+        client.health()
+        tiles = client.fetch_tiles(digest, 0, start=1, stop=3, ranks=2, budget=100)
+        assert len(tiles.tiles) == 2
+        snapshot = client.metrics()
+        hists = snapshot["histograms"]
+
+        def count(name):
+            return hists[name]["count"]
+
+        # Five requests before the metrics GET, whose parse is counted.
+        assert count("serve.parse_s") == 6 == snapshot["counters"]["serve.requests"]
+        assert count("serve.request_s") == 5
+        assert count("serve.design.lookup_s") == 3
+        assert count("serve.design.write_s") == 3
+        for phase in ("generate", "encode", "write"):
+            assert count(f"serve.tiles.{phase}_s") == 2
+        assert snapshot["counters"]["serve.tiles_streamed"] == 2
+        design_s = (
+            hists["serve.design.lookup_s"]["sum"]
+            + hists["serve.design.write_s"]["sum"]
+        )
+        assert 0 < design_s <= hists["serve.request_s"]["sum"]
+        assert "le_1e-05" in hists["serve.parse_s"]["buckets"]
+        assert "le_0.01" in hists["serve.parse_s"]["buckets"]
 
 
 class TestStreamStateMachine:

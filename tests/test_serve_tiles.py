@@ -135,6 +135,41 @@ class TestStreamWindows:
             == full.vals.tobytes()
         )
 
+    def test_explicit_range_pulls_exactly_stop_tiles(
+        self, server, client, monkeypatch
+    ):
+        import repro.serve.app as app_module
+
+        digest = client.post_design(_spec("kron"))["digest"]
+        budget = 100
+        full = client.fetch_tiles(digest, 0, ranks=RANKS, budget=budget)
+        total = len(full.tiles)
+        assert total > 2
+        pulls, builds = [], []
+        tiles = app_module.iter_task_tiles
+        build = server.server._build_plan
+
+        def spy(plan, task):
+            for tile in tiles(plan, task):
+                pulls.append(tile)
+                yield tile
+
+        def counted_build(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(app_module, "iter_task_tiles", spy)
+        monkeypatch.setattr(server.server, "_build_plan", counted_build)
+        for start, stop in ((0, 2), (1, 2), (1, total)):
+            del pulls[:]
+            served = client.fetch_tiles(
+                digest, 0, ranks=RANKS, budget=budget, start=start, stop=stop
+            )
+            assert [i for i, _ in served.tiles] == list(range(start, stop))
+            assert len(pulls) == stop
+        # The first fetch built the plan; the rest found it on the loop.
+        assert builds == []
+
     def test_budgeted_stream_equals_unbudgeted_bytes(self, client):
         digest = client.post_design(_spec("kron"))["digest"]
         tiled = client.fetch_tiles(digest, 1, ranks=RANKS, budget=100)
