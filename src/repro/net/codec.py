@@ -42,7 +42,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -90,7 +90,8 @@ _TILE_DTYPE_KINDS = frozenset("biuf")
 
 @dataclass(frozen=True)
 class Frame:
-    """One decoded frame: type, addressing, raw payload bytes."""
+    """One decoded frame: type, addressing, raw payload bytes (a view
+    when :func:`decode_frame` was given a memoryview)."""
 
     frame_type: int
     rank: int
@@ -102,6 +103,28 @@ class Frame:
         return FRAME_NAMES.get(self.frame_type, f"unknown({self.frame_type})")
 
 
+def frame_parts(
+    frame_type: int,
+    parts: Sequence = (),
+    *,
+    rank: int = -1,
+    tile_index: int = -1,
+) -> List:
+    """One frame as byte buffers whose ``b"".join`` is the frame: the
+    header, then the payload ``parts``, which the CRC is chained over
+    rather than copied."""
+    if frame_type not in FRAME_NAMES:
+        raise FrameCodecError(f"unknown frame type {frame_type}")
+    length = sum(len(part) for part in parts)
+    fields = _HEADER.pack(
+        FRAME_MAGIC, 0, CODEC_VERSION, frame_type, 0, rank, tile_index, length
+    )[8:]
+    crc = zlib.crc32(fields)
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return [FRAME_MAGIC + struct.pack(">I", crc) + fields, *parts]
+
+
 def encode_frame(
     frame_type: int,
     payload: bytes = b"",
@@ -110,13 +133,9 @@ def encode_frame(
     tile_index: int = -1,
 ) -> bytes:
     """Serialize one frame (header checksum computed here)."""
-    if frame_type not in FRAME_NAMES:
-        raise FrameCodecError(f"unknown frame type {frame_type}")
-    body = _HEADER.pack(
-        FRAME_MAGIC, 0, CODEC_VERSION, frame_type, 0, rank, tile_index, len(payload)
-    )[8:] + payload
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    return FRAME_MAGIC + struct.pack(">I", crc) + body
+    return b"".join(
+        frame_parts(frame_type, (payload,), rank=rank, tile_index=tile_index)
+    )
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -142,7 +161,7 @@ def decode_frame(data: bytes) -> Frame:
             f"frame length mismatch: header promises {length} payload bytes, "
             f"got {len(data) - HEADER_BYTES}"
         )
-    actual = zlib.crc32(data[8:]) & 0xFFFFFFFF
+    actual = zlib.crc32(memoryview(data)[8:])
     if actual != crc:
         raise FrameIntegrityError(
             f"frame CRC mismatch: header {crc:#010x}, content {actual:#010x}"
@@ -164,19 +183,13 @@ def decode_frame(data: bytes) -> Frame:
 
 
 # -- tile payloads -------------------------------------------------------------
-def _encode_array(arr: np.ndarray) -> bytes:
-    dtype_str = arr.dtype.str.encode("ascii")
-    return struct.pack(">B", len(dtype_str)) + dtype_str + arr.tobytes()
-
-
-def encode_tile_payload(
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
-) -> bytes:
-    """One tile's (rows, cols, vals) as self-describing bytes.
+def tile_payload_parts(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> List:
+    """One tile's (rows, cols, vals) as self-describing payload buffers.
 
     Each array carries its own dtype tag, so mixed widths (int32 rows,
     float64 vals, ...) round-trip exactly; only fixed-width numeric
-    dtypes are legal on the wire.
+    dtypes are legal on the wire.  A contiguous array goes in as a
+    ``uint8`` view, not a copy.
     """
     arrays = [np.asarray(a) for a in (rows, cols, vals)]
     n = len(arrays[0])
@@ -191,22 +204,36 @@ def encode_tile_payload(
             raise FrameCodecError(
                 f"tile dtype {arr.dtype} is not a fixed-width numeric dtype"
             )
-    return struct.pack(">I", n) + b"".join(_encode_array(a) for a in arrays)
+    parts: List = [struct.pack(">I", n)]
+    for arr in arrays:
+        tag = arr.dtype.str.encode("ascii")
+        parts.append(struct.pack(">B", len(tag)) + tag)
+        parts.append(np.ascontiguousarray(arr).view(np.uint8))
+    return parts
 
 
-def decode_tile_payload(payload: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of :func:`encode_tile_payload`; refuses malformed bytes."""
-    if len(payload) < 4:
+def encode_tile_payload(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
+) -> bytes:
+    """One tile's (rows, cols, vals) as bytes (see :func:`tile_payload_parts`)."""
+    return b"".join(tile_payload_parts(rows, cols, vals))
+
+
+def decode_tile_views(payload) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of :func:`encode_tile_payload`, as views into ``payload``
+    (bytes, bytearray or memoryview); refuses malformed bytes."""
+    view = memoryview(payload)
+    if len(view) < 4:
         raise FrameCodecError("tile payload truncated before element count")
-    (n,) = struct.unpack_from(">I", payload)
+    (n,) = struct.unpack_from(">I", view)
     offset = 4
     arrays = []
     for which in ("rows", "cols", "vals"):
-        if len(payload) < offset + 1:
+        if len(view) < offset + 1:
             raise FrameCodecError(f"tile payload truncated before {which} dtype")
-        (tag_len,) = struct.unpack_from(">B", payload, offset)
+        tag_len = view[offset]
         offset += 1
-        tag = payload[offset : offset + tag_len]
+        tag = bytes(view[offset : offset + tag_len])
         if len(tag) != tag_len:
             raise FrameCodecError(f"tile payload truncated inside {which} dtype tag")
         offset += tag_len
@@ -217,19 +244,24 @@ def decode_tile_payload(payload: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndar
         if dtype.kind not in _TILE_DTYPE_KINDS or dtype.itemsize == 0:
             raise FrameCodecError(f"illegal wire dtype {dtype} for {which}")
         nbytes = n * dtype.itemsize
-        raw = payload[offset : offset + nbytes]
-        if len(raw) != nbytes:
+        if len(view) - offset < nbytes:
             raise FrameCodecError(
                 f"tile payload truncated inside {which} data "
-                f"({len(raw)} of {nbytes} bytes)"
+                f"({len(view) - offset} of {nbytes} bytes)"
             )
+        arrays.append(np.frombuffer(view, dtype=dtype, count=n, offset=offset))
         offset += nbytes
-        arrays.append(np.frombuffer(raw, dtype=dtype).copy())
-    if offset != len(payload):
+    if offset != len(view):
         raise FrameCodecError(
-            f"tile payload has {len(payload) - offset} trailing garbage byte(s)"
+            f"tile payload has {len(view) - offset} trailing garbage byte(s)"
         )
     return arrays[0], arrays[1], arrays[2]
+
+
+def decode_tile_payload(payload) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`decode_tile_views`, as writable arrays that own their data."""
+    rows, cols, vals = decode_tile_views(payload)
+    return rows.copy(), cols.copy(), vals.copy()
 
 
 # -- control payloads ----------------------------------------------------------
@@ -244,7 +276,7 @@ def encode_control_payload(doc: Dict) -> bytes:
 def decode_control_payload(payload: bytes) -> Dict:
     """Inverse of :func:`encode_control_payload`."""
     try:
-        doc = json.loads(payload.decode("ascii"))
+        doc = json.loads(str(payload, "ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FrameCodecError(f"invalid control payload: {exc}") from exc
     if not isinstance(doc, dict):
@@ -271,7 +303,10 @@ __all__ = [
     "decode_control_payload",
     "decode_frame",
     "decode_tile_payload",
+    "decode_tile_views",
     "encode_control_payload",
     "encode_frame",
     "encode_tile_payload",
+    "frame_parts",
+    "tile_payload_parts",
 ]

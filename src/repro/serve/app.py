@@ -66,7 +66,8 @@ from repro.net.codec import (
     FRAME_TILE,
     encode_control_payload,
     encode_frame,
-    encode_tile_payload,
+    frame_parts,
+    tile_payload_parts,
 )
 from repro.runtime import MetricsRegistry
 from repro.runtime.tracing import Tracer
@@ -180,6 +181,17 @@ def _compute_analytic(catalog, subject, include_participation):
     return catalog.analytic(
         subject, include_participation=include_participation
     )
+
+
+def _control_frame(frame_type: int, doc: Dict, rank: int = -1) -> bytes:
+    return encode_frame(frame_type, encode_control_payload(doc), rank=rank)
+
+
+def _timed_next(gen, sentinel):
+    """``next(gen, sentinel)`` and the seconds it took (an executor job)."""
+    started = time.perf_counter()
+    tile = next(gen, sentinel)
+    return tile, time.perf_counter() - started
 
 
 def design_spec_from_doc(doc) -> Tuple[object, PowerLawDesign, Dict]:
@@ -700,8 +712,9 @@ class DesignServer:
         at most one in-progress ``next()`` — there are no queues,
         producer tasks, or shared-memory segments to leak.  An explicit
         ``[start, stop)`` pulls exactly ``stop`` tiles.  Each sent tile
-        observes its generate (the pulls since the last sent tile),
-        encode and write times.
+        observes its generate time (the pulls since the last sent tile,
+        timed inside the executor job, so the hop and the loop's other
+        work stay out), and its encode and write times.
         """
         loop = asyncio.get_running_loop()
         chunked = ChunkedWriter(
@@ -723,22 +736,19 @@ class DesignServer:
                 "budget": plan.memory_budget_entries,
                 "model": type(plan.model).__name__,
             }
-            await chunked.write(
-                encode_frame(
-                    FRAME_OPEN,
-                    encode_control_payload(open_doc),
-                    rank=rank,
-                )
-            )
-            pulled = time.perf_counter()
+            await chunked.write(_control_frame(FRAME_OPEN, open_doc, rank))
+            pull_s = 0.0
             while stop is None or index < stop:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise asyncio.TimeoutError
-                tile = await asyncio.wait_for(
-                    loop.run_in_executor(self._executor, next, gen, sentinel),
+                tile, seconds = await asyncio.wait_for(
+                    loop.run_in_executor(
+                        self._executor, _timed_next, gen, sentinel
+                    ),
                     timeout=remaining,
                 )
+                pull_s += seconds
                 if tile is sentinel:
                     break
                 if index >= start:
@@ -751,34 +761,27 @@ class DesignServer:
                         )
                     rows, cols, vals = tile
                     encoding = time.perf_counter()
-                    frame = encode_frame(
+                    parts = frame_parts(
                         FRAME_TILE,
-                        encode_tile_payload(rows, cols, vals),
+                        tile_payload_parts(rows, cols, vals),
                         rank=rank,
                         tile_index=index,
                     )
                     writing = time.perf_counter()
-                    await chunked.write(frame)
+                    await chunked.write(*parts)
                     written = time.perf_counter()
-                    self._tile_generate_s.observe(encoding - pulled)
+                    self._tile_generate_s.observe(pull_s)
                     self._tile_encode_s.observe(writing - encoding)
                     self._tile_write_s.observe(written - writing)
-                    pulled = written
+                    pull_s = 0.0
                     sent += 1
                     nnz += int(rows.shape[0])
                     self._tiles_streamed.inc()
                 index += 1
             stats = {"rank": rank, "tiles": sent, "nnz": nnz}
+            await chunked.write(_control_frame(FRAME_COMMIT, stats, rank))
             await chunked.write(
-                encode_frame(
-                    FRAME_COMMIT, encode_control_payload(stats), rank=rank
-                )
-            )
-            await chunked.write(
-                encode_frame(
-                    FRAME_RESULT,
-                    encode_control_payload({"digest": digest, **stats}),
-                )
+                _control_frame(FRAME_RESULT, {"digest": digest, **stats})
             )
             await chunked.close()
             self.metrics.counter("serve.bytes_streamed").inc(
@@ -796,11 +799,7 @@ class DesignServer:
                 message = str(exc)
             try:
                 await chunked.write(
-                    encode_frame(
-                        FRAME_ABORT,
-                        encode_control_payload({"error": message}),
-                        rank=rank,
-                    )
+                    _control_frame(FRAME_ABORT, {"error": message}, rank)
                 )
                 await chunked.close()
             except (ConnectionResetError, BrokenPipeError, OSError):

@@ -2,15 +2,17 @@
 
 Two implementations of one surface:
 
-* :class:`ServeClient` — synchronous, built on
-  :class:`http.client.HTTPConnection` (which transparently de-chunks
-  response bodies).  One instance per thread; the load harness gives
+* :class:`ServeClient` — synchronous, over one keep-alive socket.  A
+  connection the server closed while it sat idle gets exactly one retry
+  on a fresh socket.  One instance per thread; the load harness gives
   each worker thread its own.
-* :class:`AsyncServeClient` — asyncio streams with its own status-line,
-  header, and chunked-body parsing, for callers already inside an event
-  loop.
+* :class:`AsyncServeClient` — asyncio streams, one connection per
+  request, for callers already inside an event loop.
 
-Both reassemble tile streams through
+Both parse responses with :class:`repro.serve.http.ResponseReader`
+(status line, headers, and a ``Content-Length``, chunked or read-to-EOF
+body, which it de-chunks with one copy), and both reassemble tile
+streams through
 :func:`repro.serve.stream.assemble_tile_stream`, so every protocol
 guarantee (OPEN-first, contiguous indices, stats that add up, ABORT
 detection) is enforced identically, and both translate HTTP error
@@ -21,14 +23,20 @@ callers never parse status codes out of exception strings.
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
+import socket
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.errors import ServeError
+from repro.serve.http import ResponseReader
 from repro.serve.stream import TileStreamResult, assemble_tile_stream
+
+#: Bytes asked of the socket per read.
+_RECV_BYTES = 1 << 16
+
+_JSON = {"Content-Type": "application/json"}
 
 
 @dataclass
@@ -74,6 +82,9 @@ def _tiles_path(
     return f"/v1/tiles/{digest}/{rank}?" + "&".join(params)
 
 
+_Reply = Tuple[int, Dict[str, str], bytes]
+
+
 def _raise_for_status(status: int, body: bytes) -> None:
     try:
         message = json.loads(body.decode("utf-8")).get("error", "")
@@ -84,8 +95,28 @@ def _raise_for_status(status: int, body: bytes) -> None:
     )
 
 
-class ServeClient:
-    """Synchronous client (one instance per thread)."""
+def _doc(reply: _Reply) -> Dict:
+    status, _, body = reply
+    if status != 200:
+        _raise_for_status(status, body)
+    return json.loads(body)
+
+
+def _design_reply(reply: _Reply) -> DesignReply:
+    if reply[0] == 304:
+        return DesignReply(304, reply[1].get("etag"), None)
+    return DesignReply(200, reply[1].get("etag"), _doc(reply))
+
+
+def _tile_stream(reply: _Reply) -> TileStreamResult:
+    status, _, body = reply
+    if status != 200:
+        _raise_for_status(status, body)
+    return assemble_tile_stream(body)
+
+
+class _Client:
+    """The address, the timeout and the request bytes, for both clients."""
 
     def __init__(self, base_url: str, *, timeout: float = 30.0) -> None:
         split = urlsplit(base_url)
@@ -94,20 +125,27 @@ class ServeClient:
         self.host = split.hostname or "127.0.0.1"
         self.port = split.port or 80
         self.timeout = timeout
-        self._conn: Optional[http.client.HTTPConnection] = None
+
+    def _request_bytes(self, method, path, body, headers, *, close: bool) -> bytes:
+        lines = [f"{method} {path} HTTP/1.1", f"Host: {self.host}:{self.port}"]
+        if close:
+            lines.append("Connection: close")
+        lines.extend(f"{name}: {value}" for name, value in (headers or {}).items())
+        if body:
+            lines.append(f"Content-Length: {len(body)}")
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + (body or b"")
+
+
+class ServeClient(_Client):
+    """Synchronous client (one instance per thread)."""
+
+    _sock: Optional[socket.socket] = None
 
     # -- plumbing ------------------------------------------------------------
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-        return self._conn
-
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -122,54 +160,64 @@ class ServeClient:
         *,
         body: Optional[bytes] = None,
         headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Dict[str, str], bytes]:
-        conn = self._connection()
+    ) -> _Reply:
+        request = self._request_bytes(method, path, body, headers, close=False)
+        reused = self._sock is not None
         try:
-            conn.request(method, path, body=body, headers=headers or {})
-            response = conn.getresponse()
-            payload = response.read()
-        except (OSError, http.client.HTTPException) as exc:
-            # A torn keep-alive connection is retried once on a fresh
-            # socket; a genuinely dead server still raises.
-            self.close()
-            conn = self._connection()
             try:
-                conn.request(method, path, body=body, headers=headers or {})
-                response = conn.getresponse()
-                payload = response.read()
-            except (OSError, http.client.HTTPException) as exc2:
+                return self._exchange(request)
+            except ConnectionError:
+                # A keep-alive connection the server closed while it sat
+                # idle gets one retry, on a fresh socket.
                 self.close()
-                raise ServeError(
-                    f"request to {self.host}:{self.port} failed: {exc2}"
-                ) from exc
-        response_headers = {
-            name.lower(): value for name, value in response.getheaders()
-        }
-        return response.status, response_headers, payload
+                if not reused:
+                    raise
+            return self._exchange(request)
+        except OSError as exc:
+            self.close()
+            raise ServeError(
+                f"request to {self.host}:{self.port} failed: {exc}"
+            ) from exc
+        except ServeError:
+            self.close()
+            raise
+
+    def _exchange(self, request: bytes) -> _Reply:
+        """Send ``request`` on the socket (opened here if there is none)
+        and read its response.  Only a failure before the response's
+        first byte raises :class:`ConnectionError`."""
+        if self._sock is None:
+            self._sock = socket.create_connection(
+                (self.host, self.port), timeout=self.timeout
+            )
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock = self._sock
+        sock.sendall(request)
+        data = sock.recv(_RECV_BYTES)
+        if not data:
+            raise ConnectionResetError("connection closed before a response")
+        response = ResponseReader()
+        try:
+            while not response.feed(data):
+                data = sock.recv(_RECV_BYTES)
+                if not data:
+                    response.feed_eof()  # raises unless the body ran to EOF
+        except ConnectionError as exc:
+            raise ServeError(f"connection lost mid-response: {exc}") from exc
+        if not response.keep_alive:
+            self.close()
+        return response.status, response.headers, response.body
 
     # -- surface -------------------------------------------------------------
     def health(self) -> Dict:
-        status, _, body = self._request("GET", "/v1/health")
-        if status != 200:
-            _raise_for_status(status, body)
-        return json.loads(body)
+        return _doc(self._request("GET", "/v1/health"))
 
     def metrics(self) -> Dict:
-        status, _, body = self._request("GET", "/v1/metrics")
-        if status != 200:
-            _raise_for_status(status, body)
-        return json.loads(body)
+        return _doc(self._request("GET", "/v1/metrics"))
 
     def post_design(self, spec: Dict) -> Dict:
-        status, _, body = self._request(
-            "POST",
-            "/v1/design",
-            body=json.dumps(spec).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        if status != 200:
-            _raise_for_status(status, body)
-        return json.loads(body)
+        body = json.dumps(spec).encode("utf-8")
+        return _doc(self._request("POST", "/v1/design", body=body, headers=_JSON))
 
     def get_design(
         self,
@@ -178,17 +226,9 @@ class ServeClient:
         etag: Optional[str] = None,
         participation: bool = False,
     ) -> DesignReply:
+        path = _design_path(digest, participation=participation)
         headers = {"If-None-Match": etag} if etag else {}
-        status, response_headers, body = self._request(
-            "GET",
-            _design_path(digest, participation=participation),
-            headers=headers,
-        )
-        if status == 304:
-            return DesignReply(304, response_headers.get("etag"), None)
-        if status != 200:
-            _raise_for_status(status, body)
-        return DesignReply(200, response_headers.get("etag"), json.loads(body))
+        return _design_reply(self._request("GET", path, headers=headers))
 
     def fetch_tiles(
         self,
@@ -200,27 +240,12 @@ class ServeClient:
         ranks: Optional[int] = None,
         budget: Optional[int] = None,
     ) -> TileStreamResult:
-        status, _, body = self._request(
-            "GET",
-            _tiles_path(
-                digest, rank, start=start, stop=stop, ranks=ranks, budget=budget
-            ),
-        )
-        if status != 200:
-            _raise_for_status(status, body)
-        return assemble_tile_stream(body)
+        path = _tiles_path(digest, rank, start=start, stop=stop, ranks=ranks, budget=budget)
+        return _tile_stream(self._request("GET", path))
 
 
-class AsyncServeClient:
-    """Asyncio client (one connection per request, fully self-parsed)."""
-
-    def __init__(self, base_url: str, *, timeout: float = 30.0) -> None:
-        split = urlsplit(base_url)
-        if split.scheme not in ("http", ""):
-            raise ServeError(f"unsupported URL scheme {split.scheme!r}")
-        self.host = split.hostname or "127.0.0.1"
-        self.port = split.port or 80
-        self.timeout = timeout
+class AsyncServeClient(_Client):
+    """Asyncio client (one connection per request)."""
 
     async def _request(
         self,
@@ -229,10 +254,10 @@ class AsyncServeClient:
         *,
         body: Optional[bytes] = None,
         headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Dict[str, str], bytes]:
+    ) -> _Reply:
         try:
             return await asyncio.wait_for(
-                self._request_inner(method, path, body=body, headers=headers),
+                self._exchange(self._request_bytes(method, path, body, headers, close=True)),
                 timeout=self.timeout,
             )
         except asyncio.TimeoutError as exc:
@@ -245,60 +270,18 @@ class AsyncServeClient:
                 f"request to {self.host}:{self.port} failed: {exc}"
             ) from exc
 
-    async def _request_inner(
-        self, method, path, *, body=None, headers=None
-    ) -> Tuple[int, Dict[str, str], bytes]:
+    async def _exchange(self, request: bytes) -> _Reply:
         reader, writer = await asyncio.open_connection(self.host, self.port)
         try:
-            lines = [
-                f"{method} {path} HTTP/1.1",
-                f"Host: {self.host}:{self.port}",
-                "Connection: close",
-            ]
-            for name, value in (headers or {}).items():
-                lines.append(f"{name}: {value}")
-            if body:
-                lines.append(f"Content-Length: {len(body)}")
-            request = ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
-            writer.write(request + (body or b""))
+            writer.write(request)
             await writer.drain()
-
-            status_line = await reader.readline()
-            try:
-                _, status_text, *_rest = status_line.decode("ascii").split(" ", 2)
-                status = int(status_text)
-            except (UnicodeDecodeError, ValueError) as exc:
-                raise ServeError(
-                    f"unparsable status line {status_line!r}"
-                ) from exc
-            response_headers: Dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("ascii").partition(":")
-                response_headers[name.strip().lower()] = value.strip()
-
-            if response_headers.get("transfer-encoding", "").lower() == "chunked":
-                payload = bytearray()
-                while True:
-                    size_line = await reader.readline()
-                    try:
-                        size = int(size_line.strip().split(b";")[0], 16)
-                    except ValueError as exc:
-                        raise ServeError(
-                            f"bad chunk size line {size_line!r}"
-                        ) from exc
-                    if size == 0:
-                        await reader.readline()  # trailing CRLF
-                        break
-                    payload.extend(await reader.readexactly(size))
-                    await reader.readexactly(2)  # chunk CRLF
-                return status, response_headers, bytes(payload)
-            if "content-length" in response_headers:
-                length = int(response_headers["content-length"])
-                return status, response_headers, await reader.readexactly(length)
-            return status, response_headers, await reader.read()
+            response = ResponseReader()
+            data = await reader.read(_RECV_BYTES)
+            while not response.feed(data):
+                data = await reader.read(_RECV_BYTES)
+                if not data:
+                    response.feed_eof()  # raises unless the body ran to EOF
+            return response.status, response.headers, response.body
         finally:
             writer.close()
             try:
@@ -308,27 +291,14 @@ class AsyncServeClient:
 
     # -- surface -------------------------------------------------------------
     async def health(self) -> Dict:
-        status, _, body = await self._request("GET", "/v1/health")
-        if status != 200:
-            _raise_for_status(status, body)
-        return json.loads(body)
+        return _doc(await self._request("GET", "/v1/health"))
 
     async def metrics(self) -> Dict:
-        status, _, body = await self._request("GET", "/v1/metrics")
-        if status != 200:
-            _raise_for_status(status, body)
-        return json.loads(body)
+        return _doc(await self._request("GET", "/v1/metrics"))
 
     async def post_design(self, spec: Dict) -> Dict:
-        status, _, body = await self._request(
-            "POST",
-            "/v1/design",
-            body=json.dumps(spec).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        if status != 200:
-            _raise_for_status(status, body)
-        return json.loads(body)
+        body = json.dumps(spec).encode("utf-8")
+        return _doc(await self._request("POST", "/v1/design", body=body, headers=_JSON))
 
     async def get_design(
         self,
@@ -337,17 +307,9 @@ class AsyncServeClient:
         etag: Optional[str] = None,
         participation: bool = False,
     ) -> DesignReply:
+        path = _design_path(digest, participation=participation)
         headers = {"If-None-Match": etag} if etag else {}
-        status, response_headers, body = await self._request(
-            "GET",
-            _design_path(digest, participation=participation),
-            headers=headers,
-        )
-        if status == 304:
-            return DesignReply(304, response_headers.get("etag"), None)
-        if status != 200:
-            _raise_for_status(status, body)
-        return DesignReply(200, response_headers.get("etag"), json.loads(body))
+        return _design_reply(await self._request("GET", path, headers=headers))
 
     async def fetch_tiles(
         self,
@@ -359,15 +321,8 @@ class AsyncServeClient:
         ranks: Optional[int] = None,
         budget: Optional[int] = None,
     ) -> TileStreamResult:
-        status, _, body = await self._request(
-            "GET",
-            _tiles_path(
-                digest, rank, start=start, stop=stop, ranks=ranks, budget=budget
-            ),
-        )
-        if status != 200:
-            _raise_for_status(status, body)
-        return assemble_tile_stream(body)
+        path = _tiles_path(digest, rank, start=start, stop=stop, ranks=ranks, budget=budget)
+        return _tile_stream(await self._request("GET", path))
 
 
 __all__ = ["AsyncServeClient", "DesignReply", "ServeClient"]

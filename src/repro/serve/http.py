@@ -1,4 +1,4 @@
-"""A minimal asyncio HTTP/1.1 layer for the graph service.
+"""A minimal HTTP/1.1 layer for the graph service.
 
 Zero dependencies by design: the container the service ships in has the
 numpy toolchain and nothing else, so :mod:`repro.serve` speaks HTTP
@@ -14,23 +14,26 @@ small — exactly what the design/tile endpoints need:
 * :class:`ChunkedWriter` — a ``Transfer-Encoding: chunked`` response
   body, one chunk per :mod:`repro.net` frame, so the tile stream's
   framing survives any HTTP client that honours chunk boundaries or
-  not (the frame codec carries its own lengths and CRCs).
+  not (the frame codec carries its own lengths and CRCs);
+* :class:`ResponseReader` — the one response parser both clients use.
 
-Malformed syntax raises :class:`BadRequest` (the server answers 400 and
-closes); everything here is transport-shaped, so no repro error types
-leak into the wire layer.
+Malformed request syntax raises :class:`BadRequest` (the server answers
+400 and closes); a malformed response raises
+:class:`~repro.errors.ServeError` with no status.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 from urllib.parse import unquote, urlsplit
 
 from repro._version import __version__
+from repro.errors import ServeError
 
 #: Upper bound on one request's header section (request line included).
 MAX_HEADER_BYTES = 32 * 1024
@@ -248,27 +251,128 @@ class ChunkedWriter:
         self.started = False
         self.bytes_sent = 0
 
-    async def write(self, data: bytes) -> None:
+    async def write(self, *parts) -> None:
+        """Send one chunk holding ``parts`` (byte-format buffers): its
+        size line, the parts and the CRLF joined into one write."""
+        size = sum(len(part) for part in parts)
+        pieces = [f"{size:x}\r\n".encode("ascii"), *parts, b"\r\n"]
         if not self.started:
-            self._writer.write(
-                _head(self._status, self._headers, chunked=True)
-            )
+            pieces.insert(0, _head(self._status, self._headers, chunked=True))
             self.started = True
-        self._writer.write(f"{len(data):x}\r\n".encode("ascii"))
-        self._writer.write(data)
-        self._writer.write(b"\r\n")
-        self.bytes_sent += len(data)
+        self._writer.write(b"".join(pieces))
+        self.bytes_sent += size
         await self._writer.drain()
 
     async def close(self) -> None:
-        if not self.started:
-            # An empty stream is still a valid chunked body.
-            self._writer.write(
-                _head(self._status, self._headers, chunked=True)
-            )
-            self.started = True
-        self._writer.write(b"0\r\n\r\n")
-        await self._writer.drain()
+        """The last, empty chunk (an empty stream is still a valid body)."""
+        await self.write()
+
+
+#: ``HTTP/1.x NNN``, then an optional reason phrase.
+_STATUS_LINE = re.compile(r"HTTP/1\.[0-9] ([0-9]{3})(?: .*)?")
+_HEX = re.compile(rb"[0-9A-Fa-f]+")
+
+# ResponseReader states: the head, a chunk-size line, chunk data, the
+# CRLF after it, trailer lines, a Content-Length body, a body read to
+# EOF, done.
+_HEAD, _SIZE, _DATA, _CRLF, _TRAILER, _LENGTH, _TO_EOF, _DONE = range(8)
+
+
+class ResponseReader:
+    """Sans-IO parser of one HTTP/1.x response, shared by both clients.
+
+    :meth:`feed` takes the bytes the connection delivers and returns
+    whether the response is complete; :meth:`feed_eof` reports the end
+    of the stream.  The head and each chunk line are bounded by
+    :data:`MAX_HEADER_BYTES`.  The body is read by ``Content-Length``,
+    chunked (extensions and trailers tolerated) or to EOF, and copied
+    once, from the received bytes into :attr:`body`.  A malformed or
+    truncated response raises :class:`~repro.errors.ServeError` with no
+    status.
+    """
+
+    def __init__(self) -> None:
+        self.status = 0
+        self.headers: Dict[str, str] = {}  # names lower-cased
+        self.body = bytearray()
+        self.keep_alive = True  # may the connection carry another request
+        self._state, self._remaining, self._pending = _HEAD, 0, b""
+
+    def feed(self, data: bytes) -> bool:
+        """Consume received bytes; returns whether the response is complete."""
+        if self._pending:
+            data, self._pending = self._pending + data, b""
+        view, pos = memoryview(data), 0
+        while pos < len(data) and self._state != _DONE:
+            state = self._state
+            if state in (_DATA, _LENGTH, _TO_EOF):
+                take = len(data) - pos
+                if state != _TO_EOF:
+                    take = min(take, self._remaining)
+                    self._remaining -= take
+                    if not self._remaining:
+                        self._state = _CRLF if state == _DATA else _DONE
+                self.body += view[pos : pos + take]
+                pos += take
+                continue
+            sep = b"\r\n\r\n" if state == _HEAD else b"\r\n"
+            eol = data.find(sep, pos, pos + MAX_HEADER_BYTES)
+            if eol < 0:
+                if len(data) - pos >= MAX_HEADER_BYTES:
+                    raise ServeError(f"response line or head over {MAX_HEADER_BYTES} bytes")
+                self._pending = data[pos:]
+                break
+            line, pos = data[pos:eol], eol + len(sep)
+            if state == _HEAD:
+                self._parse_head(line.decode("latin-1"))
+            elif state == _SIZE:
+                size = line.split(b";", 1)[0].strip(b" \t")
+                if not _HEX.fullmatch(size):
+                    raise ServeError(f"bad chunk size line {line[:80]!r}")
+                self._remaining = int(size, 16)
+                self._state = _DATA if self._remaining else _TRAILER
+            elif state == _CRLF:
+                if line:
+                    raise ServeError("chunk data is not followed by CRLF")
+                self._state = _SIZE
+            elif not line:
+                self._state = _DONE  # the blank line after the trailers
+        if self._state == _DONE and pos < len(data):
+            self.keep_alive = False  # bytes past the response's end
+        return self._state == _DONE
+
+    def feed_eof(self) -> None:
+        if self._state not in (_TO_EOF, _DONE):
+            raise ServeError("connection closed mid-response")
+        self._state = _DONE
+        self.keep_alive = False
+
+    def _parse_head(self, head: str) -> None:
+        status_line, *lines = head.split("\r\n")
+        match = _STATUS_LINE.fullmatch(status_line)
+        if match is None:
+            raise ServeError(f"unparsable status line {status_line[:80]!r}")
+        self.status = int(match.group(1))
+        for line in lines:
+            name, sep, value = line.partition(":")
+            if not sep or not name.strip():
+                raise ServeError(f"malformed header line {line[:80]!r}")
+            self.headers[name.strip().lower()] = value.strip()
+        length = self.headers.get("content-length")
+        if self.headers.get("connection", "").lower() == "close":
+            self.keep_alive = False
+        if self.status in (204, 304):
+            self._state = _DONE
+        elif self.headers.get("transfer-encoding", "").lower() == "chunked":
+            self._state = _SIZE
+        elif length is not None:
+            if not (length.isascii() and length.isdigit()):
+                raise ServeError(f"bad Content-Length {length!r}")
+            self._remaining = int(length)
+            self._state = _LENGTH if self._remaining else _DONE
+        else:
+            self._state = _TO_EOF
+            self.keep_alive = False
 
 
 __all__ = [
@@ -278,6 +382,7 @@ __all__ = [
     "MAX_HEADER_BYTES",
     "PayloadTooLarge",
     "Request",
+    "ResponseReader",
     "empty_response",
     "json_response",
     "read_request",

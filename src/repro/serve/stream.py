@@ -39,7 +39,7 @@ from repro.net.codec import (
     HEADER_BYTES,
     decode_control_payload,
     decode_frame,
-    decode_tile_payload,
+    decode_tile_views,
 )
 
 _LENGTH_OFFSET = HEADER_BYTES - 4  # payload length is the header's last field
@@ -50,6 +50,7 @@ class FrameAssembler:
 
     ``feed`` accepts arbitrary byte slices and returns every frame that
     became complete; partial frames wait in the buffer for more bytes.
+    Each frame is copied out once (its payload is a view of that copy);
     ``finish`` asserts nothing is left half-delivered.
     """
 
@@ -59,20 +60,15 @@ class FrameAssembler:
     def feed(self, data: bytes) -> List[Frame]:
         self._buffer.extend(data)
         frames: List[Frame] = []
-        while True:
-            if len(self._buffer) < HEADER_BYTES:
-                break
+        while len(self._buffer) >= HEADER_BYTES:
             (length,) = struct.unpack_from(">I", self._buffer, _LENGTH_OFFSET)
             total = HEADER_BYTES + length
             if len(self._buffer) < total:
                 break
-            frames.append(decode_frame(bytes(self._buffer[:total])))
+            frame = self._buffer[:total]
             del self._buffer[:total]
+            frames.append(decode_frame(memoryview(frame)))
         return frames
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)
 
     def finish(self) -> None:
         if self._buffer:
@@ -119,6 +115,8 @@ class TileStream:
         self._commit_doc: Optional[Dict] = None
         self._result_doc: Optional[Dict] = None
         self._tiles: List[Tuple[int, int]] = []
+        # Views into each tile frame's payload, until result()'s
+        # concatenate makes the one copy.
         self._parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._next_index: Optional[int] = None
         self._nnz = 0
@@ -148,7 +146,7 @@ class TileStream:
                     f"non-contiguous tile stream: expected index "
                     f"{self._next_index}, got {frame.tile_index}"
                 )
-            rows, cols, vals = decode_tile_payload(frame.payload)
+            rows, cols, vals = decode_tile_views(frame.payload)
             self._parts.append((rows, cols, vals))
             self._tiles.append((frame.tile_index, int(rows.shape[0])))
             self._nnz += int(rows.shape[0])
@@ -177,10 +175,6 @@ class TileStream:
             return
         raise ServeProtocolError(f"unexpected {name} frame in a tile stream")
 
-    @property
-    def complete(self) -> bool:
-        return self._result_doc is not None
-
     def result(self) -> TileStreamResult:
         if self._open_doc is None:
             raise ServeProtocolError("stream ended before an OPEN frame")
@@ -207,13 +201,22 @@ class TileStream:
         )
 
 
-def assemble_tile_stream(body: bytes) -> TileStreamResult:
-    """Reassemble a complete tile-stream body in one call."""
-    assembler = FrameAssembler()
+def assemble_tile_stream(body) -> TileStreamResult:
+    """Reassemble a complete tile-stream body, decoding frames in place."""
+    view = memoryview(body)
     stream = TileStream()
-    for frame in assembler.feed(body):
-        stream.accept(frame)
-    assembler.finish()
+    offset = 0
+    while len(view) - offset >= HEADER_BYTES:
+        (length,) = struct.unpack_from(">I", view, offset + _LENGTH_OFFSET)
+        end = offset + HEADER_BYTES + length
+        if end > len(view):
+            break
+        stream.accept(decode_frame(view[offset:end]))
+        offset = end
+    if offset != len(view):
+        raise ServeProtocolError(
+            f"stream ended with {len(view) - offset} bytes of a torn frame"
+        )
     return stream.result()
 
 

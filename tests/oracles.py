@@ -2,15 +2,25 @@
 
 Each is the loop the program ran before its vectorized replacement:
 the per-edge f-string TSV encoder, the per-line TSV reader, the
-floating-point stochastic Kronecker kernel, and the id-ordered triangle
-participation loop.
+floating-point stochastic Kronecker kernel, the id-ordered triangle
+participation loop, and the tile-frame codec that built each frame by
+concatenation and copied every decoded array twice.
 """
 
+import struct
+import zlib
 from typing import List, Tuple
 
 import numpy as np
 
-from repro.errors import IOFormatError
+from repro.errors import FrameCodecError, IOFormatError
+from repro.net.codec import (
+    _HEADER,
+    _TILE_DTYPE_KINDS,
+    CODEC_VERSION,
+    FRAME_MAGIC,
+    FRAME_NAMES,
+)
 from repro.models.skg import counter_u01
 
 
@@ -187,3 +197,81 @@ def triangle_stream_by_id(edges, num_vertices=None, *, memory_budget_entries):
         },
         "edge_participation": edge_participation,
     }
+
+
+def encode_frame(
+    frame_type: int,
+    payload: bytes = b"",
+    *,
+    rank: int = -1,
+    tile_index: int = -1,
+) -> bytes:
+    """One frame: the header with its CRC over bytes 8.., then the payload."""
+    if frame_type not in FRAME_NAMES:
+        raise FrameCodecError(f"unknown frame type {frame_type}")
+    body = _HEADER.pack(
+        FRAME_MAGIC, 0, CODEC_VERSION, frame_type, 0, rank, tile_index, len(payload)
+    )[8:] + payload
+    crc = zlib.crc32(body) & 0xFFFFFFFF
+    return FRAME_MAGIC + struct.pack(">I", crc) + body
+
+
+def _encode_array(arr: np.ndarray) -> bytes:
+    dtype_str = arr.dtype.str.encode("ascii")
+    return struct.pack(">B", len(dtype_str)) + dtype_str + arr.tobytes()
+
+
+def encode_tile_payload(rows, cols, vals) -> bytes:
+    """The element count, then each array's dtype tag and bytes."""
+    arrays = [np.asarray(a) for a in (rows, cols, vals)]
+    n = len(arrays[0])
+    for arr in arrays:
+        if arr.ndim != 1:
+            raise FrameCodecError(f"tile arrays must be 1-D, got shape {arr.shape}")
+        if len(arr) != n:
+            raise FrameCodecError(
+                f"tile arrays must share a length; got {n} and {len(arr)}"
+            )
+        if arr.dtype.kind not in _TILE_DTYPE_KINDS or arr.dtype.itemsize == 0:
+            raise FrameCodecError(
+                f"tile dtype {arr.dtype} is not a fixed-width numeric dtype"
+            )
+    return struct.pack(">I", n) + b"".join(_encode_array(a) for a in arrays)
+
+
+def decode_tile_payload(payload: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of :func:`encode_tile_payload`; refuses malformed bytes."""
+    if len(payload) < 4:
+        raise FrameCodecError("tile payload truncated before element count")
+    (n,) = struct.unpack_from(">I", payload)
+    offset = 4
+    arrays = []
+    for which in ("rows", "cols", "vals"):
+        if len(payload) < offset + 1:
+            raise FrameCodecError(f"tile payload truncated before {which} dtype")
+        (tag_len,) = struct.unpack_from(">B", payload, offset)
+        offset += 1
+        tag = payload[offset : offset + tag_len]
+        if len(tag) != tag_len:
+            raise FrameCodecError(f"tile payload truncated inside {which} dtype tag")
+        offset += tag_len
+        try:
+            dtype = np.dtype(tag.decode("ascii"))
+        except (TypeError, UnicodeDecodeError) as exc:
+            raise FrameCodecError(f"invalid {which} dtype tag {tag!r}: {exc}") from exc
+        if dtype.kind not in _TILE_DTYPE_KINDS or dtype.itemsize == 0:
+            raise FrameCodecError(f"illegal wire dtype {dtype} for {which}")
+        nbytes = n * dtype.itemsize
+        raw = payload[offset : offset + nbytes]
+        if len(raw) != nbytes:
+            raise FrameCodecError(
+                f"tile payload truncated inside {which} data "
+                f"({len(raw)} of {nbytes} bytes)"
+            )
+        offset += nbytes
+        arrays.append(np.frombuffer(raw, dtype=dtype).copy())
+    if offset != len(payload):
+        raise FrameCodecError(
+            f"tile payload has {len(payload) - offset} trailing garbage byte(s)"
+        )
+    return arrays[0], arrays[1], arrays[2]

@@ -16,14 +16,19 @@ from repro.errors import FrameCodecError, FrameIntegrityError
 from repro.net.codec import (
     FRAME_MAGIC,
     FRAME_NAMES,
+    FRAME_TILE,
     HEADER_BYTES,
     decode_control_payload,
     decode_frame,
     decode_tile_payload,
+    decode_tile_views,
     encode_control_payload,
     encode_frame,
     encode_tile_payload,
+    frame_parts,
+    tile_payload_parts,
 )
+from tests import oracles
 
 #: Every dtype legal on the wire, spanning kinds b/i/u/f and widths.
 WIRE_DTYPES = [
@@ -215,6 +220,101 @@ class TestTilePayloadRoundtrip:
         a = np.arange(5, dtype=np.int64)
         rows, _, _ = decode_tile_payload(encode_tile_payload(a, a, a))
         rows[0] = 99  # must not raise (np.frombuffer views are read-only)
+
+
+#: Fixed-width numeric dtypes in both byte orders.
+ORDERED_DTYPES = [np.dtype(np.bool_), np.dtype(np.int8), np.dtype(np.uint8)] + [
+    np.dtype(order + code)
+    for order in "<>"
+    for code in ("i2", "i4", "i8", "u2", "u4", "u8", "f2", "f4", "f8")
+]
+INT32_EDGES = st.sampled_from([-(2**31), -1, 0, 1, 2**31 - 1])
+
+
+@st.composite
+def oracle_triples(draw):
+    """Tiles of any ordered dtype, contiguous or strided, length 0 up."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    step = draw(st.sampled_from([1, 2, -1]))
+    out = []
+    for _ in range(3):
+        dtype = draw(st.sampled_from(ORDERED_DTYPES))
+        raw = draw(st.binary(min_size=n * dtype.itemsize * 2, max_size=n * dtype.itemsize * 2))
+        base = np.frombuffer(raw, dtype=dtype)  # any bit pattern, NaNs included
+        out.append(base[::step][:n] if step != 1 else base[:n])
+    return tuple(out)
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` does: its arrays' dtypes and bytes, or the
+    codec error it raises."""
+    try:
+        arrays = fn(*args)
+    except FrameCodecError as exc:
+        return type(exc), str(exc)
+    return [(a.dtype.str, a.tobytes()) for a in arrays]
+
+
+class TestAgainstOracle:
+    """The parts encoders and in-place decoders against the codec that
+    built frames by concatenation (``tests/oracles.py``)."""
+
+    @given(oracle_triples(), INT32_EDGES, INT32_EDGES)
+    @settings(max_examples=200)
+    def test_bytes_equal_the_oracle(self, triple, rank, tile_index):
+        payload = oracles.encode_tile_payload(*triple)
+        frame = oracles.encode_frame(FRAME_TILE, payload, rank=rank, tile_index=tile_index)
+        assert encode_tile_payload(*triple) == payload
+        assert encode_frame(FRAME_TILE, payload, rank=rank, tile_index=tile_index) == frame
+        parts = frame_parts(
+            FRAME_TILE, tile_payload_parts(*triple), rank=rank, tile_index=tile_index
+        )
+        assert b"".join(parts) == frame
+
+    @given(oracle_triples(), INT32_EDGES, INT32_EDGES)
+    @settings(max_examples=100)
+    def test_bytes_and_views_decode_alike(self, triple, rank, tile_index):
+        payload = oracles.encode_tile_payload(*triple)
+        frame = oracles.encode_frame(FRAME_TILE, payload, rank=rank, tile_index=tile_index)
+        want = _outcome(oracles.decode_tile_payload, payload)
+        for data in (frame, bytearray(frame), memoryview(frame)):
+            decoded = decode_frame(data)
+            assert (decoded.frame_type, decoded.rank, decoded.tile_index) == (
+                FRAME_TILE, rank, tile_index
+            )
+            assert decoded.payload == payload
+            assert _outcome(decode_tile_payload, decoded.payload) == want
+            assert _outcome(decode_tile_views, decoded.payload) == want
+        for arr in decode_tile_payload(memoryview(payload)):
+            assert arr.flags.writeable and arr.flags.owndata
+
+    @given(oracle_triples())
+    @settings(max_examples=50)
+    def test_every_payload_byte_flip_decodes_as_the_oracle_does(self, triple):
+        payload = oracles.encode_tile_payload(*triple)
+        for pos in range(len(payload)):
+            mutated = bytearray(payload)
+            mutated[pos] ^= 0xFF
+            want = _outcome(oracles.decode_tile_payload, bytes(mutated))
+            assert _outcome(decode_tile_payload, bytes(mutated)) == want
+            assert _outcome(decode_tile_views, memoryview(mutated)) == want
+
+    @given(oracle_triples(), INT32_EDGES)
+    @settings(max_examples=50)
+    def test_every_byte_flip_after_the_magic_raises(self, triple, rank):
+        frame = encode_frame(FRAME_TILE, encode_tile_payload(*triple), rank=rank)
+        length_field = range(HEADER_BYTES - 4, HEADER_BYTES)
+        for pos in range(len(FRAME_MAGIC), len(frame)):
+            mutated = bytearray(frame)
+            mutated[pos] ^= 0xFF
+            errors = []
+            for data in (bytes(mutated), memoryview(mutated)):
+                with pytest.raises(FrameCodecError) as err:
+                    decode_frame(data)
+                errors.append((type(err.value), str(err.value)))
+            assert errors[0] == errors[1]
+            expected = FrameCodecError if pos in length_field else FrameIntegrityError
+            assert errors[0][0] is expected
 
 
 class TestControlPayload:

@@ -492,6 +492,7 @@ class TestPhaseHistograms:
         etag = client.get_design(digest).etag
         assert client.get_design(digest, etag=etag).status == 304
         client.health()
+        before = client.metrics()["histograms"]
         tiles = client.fetch_tiles(digest, 0, start=1, stop=3, ranks=2, budget=100)
         assert len(tiles.tiles) == 2
         snapshot = client.metrics()
@@ -500,14 +501,22 @@ class TestPhaseHistograms:
         def count(name):
             return hists[name]["count"]
 
-        # Five requests before the metrics GET, whose parse is counted.
-        assert count("serve.parse_s") == 6 == snapshot["counters"]["serve.requests"]
-        assert count("serve.request_s") == 5
+        # Six requests before the last metrics GET, whose parse is counted.
+        assert count("serve.parse_s") == 7 == snapshot["counters"]["serve.requests"]
+        assert count("serve.request_s") == 6
         assert count("serve.design.lookup_s") == 3
         assert count("serve.design.write_s") == 3
         for phase in ("generate", "encode", "write"):
-            assert count(f"serve.tiles.{phase}_s") == 2
+            assert count(f"serve.tiles.{phase}_s") == 2 == len(tiles.tiles)
         assert snapshot["counters"]["serve.tiles_streamed"] == 2
+        # The tile phases fit inside the requests between the snapshots:
+        # the tile range and the first metrics GET.
+        tile_s = sum(
+            hists[f"serve.tiles.{phase}_s"]["sum"]
+            for phase in ("generate", "encode", "write")
+        )
+        request_s = hists["serve.request_s"]["sum"] - before["serve.request_s"]["sum"]
+        assert 0 < tile_s <= request_s
         design_s = (
             hists["serve.design.lookup_s"]["sum"]
             + hists["serve.design.write_s"]["sum"]
