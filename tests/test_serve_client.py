@@ -111,11 +111,14 @@ class ScriptedServer:
         self._thread.start()
 
     def _run(self):
-        try:
-            for replies in self._script:
+        for replies in self._script:
+            try:
                 conn, _ = self._listener.accept()
-                self._conns.append(conn)
-                self.accepted += 1
+            except OSError:
+                return  # no client came
+            self._conns.append(conn)
+            self.accepted += 1
+            try:
                 conn.settimeout(10)
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 for reply in replies:
@@ -127,10 +130,10 @@ class ScriptedServer:
                         if i:
                             time.sleep(0.001)
                         conn.sendall(piece)
-                if not self._hold:
-                    conn.close()
-        except OSError:
-            pass  # a client that gave up mid-reply
+            except OSError:
+                pass  # a client that gave up mid-reply
+            if not self._hold:
+                conn.close()
 
     def stop(self):
         self._thread.join(timeout=15)
