@@ -390,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--memory-budget", type=int, default=None, metavar="ENTRIES",
-        help="default tiling budget for tile plans",
+        help="tiling budget for tile plans (default 16384): the largest "
+        "budget= a request may ask for (413 above), and so the longest "
+        "tile pull the event loop is held for",
     )
     p_srv.add_argument(
         "--max-concurrency", type=int, default=64,
@@ -846,7 +848,6 @@ def _serve_spec(args: argparse.Namespace) -> dict:
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.engine import DEFAULT_MEMORY_BUDGET_ENTRIES
     from repro.serve import DesignServer, ServerConfig
 
     config = ServerConfig(
@@ -857,7 +858,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         memory_budget_entries=(
             args.memory_budget
             if args.memory_budget is not None
-            else DEFAULT_MEMORY_BUDGET_ENTRIES
+            else ServerConfig.memory_budget_entries
         ),
         max_concurrency=args.max_concurrency,
         request_timeout_s=args.request_timeout,

@@ -27,9 +27,12 @@ One event loop, three endpoints:
 Back-pressure and failure policy: at most ``max_concurrency`` requests
 are in flight (the rest get an immediate 429), every request carries a
 deadline (``request_timeout_s``; 503 before the response starts, an
-ABORT frame after), and a client that disconnects mid-stream tears down
-only its own request — the pull-based executor handoff owns no queues,
-threads, or shared memory that could leak.
+ABORT frame after), a request's tiling ``budget=`` may not exceed the
+server's ``memory_budget_entries`` (413), and a client that disconnects
+mid-stream tears down only its own request — tiles are pulled on the
+event loop, one per loop turn, so a stream owns no queues, threads, or
+shared memory that could leak.  :meth:`DesignServer.stop` ends every
+open connection and waits for its handler.
 
 Addressing: designs are named by their partition-invariant catalog
 digest (:func:`repro.catalog.key_digest`).  A digest alone cannot
@@ -50,12 +53,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.catalog import DesignCatalog, key_digest
 from repro.design import PowerLawDesign
-from repro.engine import (
-    DEFAULT_MEMORY_BUDGET_ENTRIES,
-    iter_task_tiles,
-    plan_from_design,
-    plan_from_model,
-)
+from repro.engine import iter_task_tiles, plan_from_design, plan_from_model
 from repro.errors import DesignError, GenerationError, ReproError
 from repro.models import MODEL_CHOICES, resolve_model
 from repro.net.codec import (
@@ -104,8 +102,12 @@ class ServerConfig:
     cache_dir: Optional[str] = None
     #: Default rank count for tile plans (per-request ``ranks=`` wins).
     ranks: int = 4
-    #: Default tiling budget for tile plans (``budget=`` wins).
-    memory_budget_entries: int = DEFAULT_MEMORY_BUDGET_ENTRIES
+    #: Default tiling budget for tile plans, and the largest ``budget=``
+    #: a request may ask for (413 above).  Tiles are pulled on the event
+    #: loop, so this bounds how long one pull holds it.  A tile of 2^14
+    #: entries is a ~400 KB TILE frame; one of the engine's 5·10^7
+    #: default would pass ``MAX_FRAME_BYTES``.
+    memory_budget_entries: int = 1 << 14
     #: Requests in flight before new ones get an immediate 429.
     max_concurrency: int = 64
     #: Per-request deadline: 503 before the response starts, an ABORT
@@ -116,7 +118,7 @@ class ServerConfig:
     max_tiles_per_request: int = 4096
     #: Largest accepted request body.
     max_body_bytes: int = 1 << 20
-    #: Worker threads for cold computes, plan builds, and tile pulls.
+    #: Worker threads for cache reads, cold computes, and plan builds.
     executor_workers: int = 4
     #: Stop after this many handled requests (test/CI convenience).
     max_requests: Optional[int] = None
@@ -185,13 +187,6 @@ def _compute_analytic(catalog, subject, include_participation):
 
 def _control_frame(frame_type: int, doc: Dict, rank: int = -1) -> bytes:
     return encode_frame(frame_type, encode_control_payload(doc), rank=rank)
-
-
-def _timed_next(gen, sentinel):
-    """``next(gen, sentinel)`` and the seconds it took (an executor job)."""
-    started = time.perf_counter()
-    tile = next(gen, sentinel)
-    return tile, time.perf_counter() - started
 
 
 def design_spec_from_doc(doc) -> Tuple[object, PowerLawDesign, Dict]:
@@ -288,6 +283,8 @@ class DesignServer:
         self._warm: Dict[str, _DesignReplies] = {}
         self._plans: Dict[Tuple[str, int, int], object] = {}
         self._inflight: Dict[Tuple[str, bool], asyncio.Task] = {}
+        #: Open connections: each handler task and its stream writer.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=config.executor_workers,
             thread_name_prefix="repro-serve",
@@ -331,13 +328,20 @@ class DesignServer:
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            self._accept, self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
+        """Stop listening, end every open connection, and wait for their
+        handlers, so none is left for the loop's teardown to cancel."""
         if self._server is not None:
             self._server.close()
+        for task, writer in list(self._connections.items()):
+            writer.transport.abort()
+            task.cancel()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
         self._executor.shutdown(wait=False)
@@ -352,6 +356,12 @@ class DesignServer:
         return f"http://{self.config.host}:{self.port}"
 
     # -- connection loop ----------------------------------------------------
+    def _accept(self, reader, writer) -> None:
+        """Run each connection as a handler task that :meth:`stop` owns."""
+        task = asyncio.ensure_future(self._handle_connection(reader, writer))
+        self._connections[task] = writer
+        task.add_done_callback(self._connections.pop)
+
     async def _handle_connection(self, reader, writer) -> None:
         try:
             while True:
@@ -664,6 +674,12 @@ class DesignServer:
             raise _HttpError(422, f"ranks={ranks} must be positive")
         if budget < 1:
             raise _HttpError(422, f"budget={budget} must be positive")
+        if budget > self.config.memory_budget_entries:
+            raise _HttpError(
+                413,
+                f"budget={budget} exceeds this server's limit of "
+                f"{self.config.memory_budget_entries} entries",
+            )
         if rank < 0 or rank >= ranks:
             raise _HttpError(
                 422, f"rank {rank} out of range for a {ranks}-rank plan"
@@ -707,22 +723,22 @@ class DesignServer:
     ) -> None:
         """Pump one rank's tiles through a chunked response.
 
-        The generator is pulled tile-by-tile in the executor (the pull
-        is the only blocking piece), so a disconnecting client abandons
-        at most one in-progress ``next()`` — there are no queues,
-        producer tasks, or shared-memory segments to leak.  An explicit
+        The generator is pulled on the event loop, and the stream gives
+        the loop one turn after each pulled tile (``drain()`` does not
+        yield below the write high-water mark), so other connections are
+        served between tiles and a pull holds the loop for one tile of a
+        budget the server bounds.  A disconnecting client ends the
+        request between pulls — there are no queues, producer tasks,
+        threads, or shared-memory segments to leak.  An explicit
         ``[start, stop)`` pulls exactly ``stop`` tiles.  Each sent tile
-        observes its generate time (the pulls since the last sent tile,
-        timed inside the executor job, so the hop and the loop's other
-        work stay out), and its encode and write times.
+        observes its generate time (the ``next()`` calls since the last
+        sent tile), and its encode and write times.
         """
-        loop = asyncio.get_running_loop()
         chunked = ChunkedWriter(
             writer, headers={"Content-Type": "application/x-repro-frames"}
         )
         self.metrics.gauge("serve.open_streams").inc()
         gen = iter_task_tiles(plan, task)
-        sentinel = object()
         sent = 0
         nnz = 0
         index = 0
@@ -739,17 +755,12 @@ class DesignServer:
             await chunked.write(_control_frame(FRAME_OPEN, open_doc, rank))
             pull_s = 0.0
             while stop is None or index < stop:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                if time.monotonic() >= deadline:
                     raise asyncio.TimeoutError
-                tile, seconds = await asyncio.wait_for(
-                    loop.run_in_executor(
-                        self._executor, _timed_next, gen, sentinel
-                    ),
-                    timeout=remaining,
-                )
-                pull_s += seconds
-                if tile is sentinel:
+                pulling = time.perf_counter()
+                tile = next(gen, None)
+                pull_s += time.perf_counter() - pulling
+                if tile is None:
                     break
                 if index >= start:
                     if sent >= self.config.max_tiles_per_request:
@@ -778,6 +789,7 @@ class DesignServer:
                     nnz += int(rows.shape[0])
                     self._tiles_streamed.inc()
                 index += 1
+                await asyncio.sleep(0)
             stats = {"rank": rank, "tiles": sent, "nnz": nnz}
             await chunked.write(_control_frame(FRAME_COMMIT, stats, rank))
             await chunked.write(
@@ -810,12 +822,7 @@ class DesignServer:
             # and closes the connection; nothing else was allocated.
             self.metrics.counter("serve.disconnects").inc()
         finally:
-            try:
-                gen.close()
-            except ValueError:
-                # An abandoned executor pull is still inside next();
-                # the generator frees itself when that call returns.
-                pass
+            gen.close()
             self.metrics.gauge("serve.open_streams").dec()
 
 
@@ -877,8 +884,8 @@ def start_in_thread(
         loop.run_until_complete(server.start())
         ready.set()
         loop.run_forever()
-        # Idle keep-alive connections are parked in read_request; cancel
-        # them so the loop closes without destroying pending tasks.
+        # stop() ended the connections; a cold compute may still be in
+        # flight, so cancel it and close without destroying pending tasks.
         pending = asyncio.all_tasks(loop)
         for task in pending:
             task.cancel()

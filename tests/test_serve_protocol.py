@@ -1,30 +1,47 @@
 """Protocol conformance suite for the graph service (repro.serve).
 
 Exercises the failure surface the server promises: malformed requests,
-unknown digests, invalid tile ranges, oversized asks, saturation,
-single-flight cold computes, ETag revalidation, and mid-stream client
-disconnects leaving nothing behind.
+unknown digests, invalid tile ranges, oversized asks (tile ranges and
+tiling budgets), saturation, single-flight cold computes, ETag
+revalidation, mid-stream client disconnects leaving nothing behind,
+tile pulls that share the event loop with other connections, and a
+clean SIGINT shutdown of ``repro-graph serve``.
 """
 
 import http.client
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro._version import __version__
 from repro.catalog import CatalogCache, DesignProperties
 from repro.errors import ServeError, ServeProtocolError
+from repro.design import PowerLawDesign
+from repro.engine import (
+    DEFAULT_MEMORY_BUDGET_ENTRIES,
+    iter_task_tiles,
+    plan_from_design,
+)
 from repro.net.codec import (
     FRAME_ABORT,
     FRAME_COMMIT,
     FRAME_OPEN,
     FRAME_RESULT,
     FRAME_TILE,
+    MAX_FRAME_BYTES,
     encode_control_payload,
     encode_frame,
+    frame_parts,
+    tile_payload_parts,
 )
 from repro.parallel.shm import shm_segment_names
 from repro.runtime import MetricsRegistry
@@ -524,6 +541,177 @@ class TestPhaseHistograms:
         assert 0 < design_s <= hists["serve.request_s"]["sum"]
         assert "le_1e-05" in hists["serve.parse_s"]["buckets"]
         assert "le_0.01" in hists["serve.parse_s"]["buckets"]
+
+
+class TestInlinePull:
+    def test_health_is_answered_between_tiles(self, server, client, monkeypatch):
+        """A stream gives the loop one turn per tile, so a request on
+        another connection is answered before the stream's COMMIT.  The
+        stream stays under the write high-water mark, where ``drain()``
+        never yields, and each pull sleeps to stand for a costly tile."""
+        import repro.serve.app as app_module
+
+        digest = client.post_design(SPEC)["digest"]
+        tiles = app_module.iter_task_tiles
+        pulling, answered = threading.Event(), threading.Event()
+        answered_before_commit = []
+
+        def slow(plan, task):
+            for tile in tiles(plan, task):
+                pulling.set()
+                time.sleep(0.05)
+                yield tile
+            answered_before_commit.append(answered.is_set())
+
+        streamed = {}
+
+        def _stream():
+            with ServeClient(server.base_url) as c:
+                streamed["tiles"] = c.fetch_tiles(digest, 0, ranks=1, budget=63)
+
+        with ServeClient(server.base_url) as other:
+            assert other.health()["status"] == "ok"  # its connection is open
+            monkeypatch.setattr(app_module, "iter_task_tiles", slow)
+            streamer = threading.Thread(target=_stream)
+            streamer.start()
+            try:
+                assert pulling.wait(timeout=10)
+                assert other.health()["status"] == "ok"
+                answered.set()
+            finally:
+                streamer.join(timeout=30)
+        assert not streamer.is_alive()
+        assert answered_before_commit == [True]
+        result = streamed["tiles"]
+        assert len(result.tiles) > 5
+        local = plan_from_design(PowerLawDesign([3, 4, 5], "center"), 1,
+                                 memory_budget_entries=63)
+        expected = list(iter_task_tiles(local, local.tasks[0]))
+        assert result.rows.tobytes() == np.concatenate([t[0] for t in expected]).tobytes()
+        assert result.vals.tobytes() == np.concatenate([t[2] for t in expected]).tobytes()
+
+    def test_warm_tile_range_submits_nothing(self, server, client, monkeypatch):
+        digest = client.post_design(SPEC)["digest"]
+        first = client.fetch_tiles(digest, 0, ranks=2, budget=100)  # builds the plan
+        assert len(first.tiles) > 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm tile range left the event loop")
+
+        monkeypatch.setattr(server.server._executor, "submit", refuse)
+        offsets = np.cumsum([0] + [n for _, n in first.tiles])
+        for start, stop in ((0, len(first.tiles)), (1, 3)):
+            again = client.fetch_tiles(
+                digest, 0, ranks=2, budget=100, start=start, stop=stop
+            )
+            assert [i for i, _ in again.tiles] == list(range(start, stop))
+            window = slice(offsets[start], offsets[stop])
+            assert again.rows.tobytes() == first.rows[window].tobytes()
+
+
+class TestBudgetBound:
+    LIMIT = 100
+
+    @pytest.fixture
+    def bounded(self, tmp_path):
+        handle = start_in_thread(
+            ServerConfig(
+                cache_dir=str(tmp_path / "cache"),
+                ranks=2,
+                memory_budget_entries=self.LIMIT,
+            )
+        )
+        with ServeClient(handle.base_url) as c:
+            yield handle, c, c.post_design(SPEC)["digest"]
+        handle.stop()
+
+    def test_budget_above_the_limit_is_413_without_a_stream_head(self, bounded):
+        handle, client, digest = bounded
+        raw = _raw_request(
+            handle.port,
+            f"GET /v1/tiles/{digest}/0?budget={self.LIMIT + 1} HTTP/1.1\r\n"
+            "Host: localhost\r\n\r\n".encode(),
+        )
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"chunked" not in head.lower()
+        doc = json.loads(body)
+        assert doc["status"] == 413
+        assert f"limit of {self.LIMIT} entries" in doc["error"]
+        with pytest.raises(ServeError) as err:
+            client.fetch_tiles(digest, 0, budget=self.LIMIT + 1)
+        assert err.value.status == 413
+
+    def test_budget_equal_to_the_limit_streams(self, bounded):
+        _, client, digest = bounded
+        explicit = client.fetch_tiles(digest, 0, budget=self.LIMIT)
+        default = client.fetch_tiles(digest, 0)
+        assert explicit.open_doc["budget"] == default.open_doc["budget"] == self.LIMIT
+        assert len(explicit.tiles) > 1
+        assert explicit.rows.tobytes() == default.rows.tobytes()
+        local = plan_from_design(PowerLawDesign([3, 4, 5], "center"), 2,
+                                 memory_budget_entries=self.LIMIT)
+        expected = list(iter_task_tiles(local, local.tasks[0]))
+        assert [n for _, n in explicit.tiles] == [len(t[0]) for t in expected]
+
+    def test_default_budget_tile_fits_a_frame(self):
+        """A tile of the default budget's int64 triples fits one TILE
+        frame; one of the engine's default budget would not."""
+
+        def frame_bytes(entries):
+            column = np.zeros(entries, dtype=np.int64)
+            parts = frame_parts(
+                FRAME_TILE, tile_payload_parts(column, column, column)
+            )
+            return sum(len(part) for part in parts)
+
+        header, per_entry = frame_bytes(0), frame_bytes(1) - frame_bytes(0)
+        assert per_entry == 24
+        assert frame_bytes(1000) == header + 1000 * per_entry
+        budget = ServerConfig().memory_budget_entries
+        assert header + budget * per_entry <= MAX_FRAME_BYTES
+        assert header + DEFAULT_MEMORY_BUDGET_ENTRIES * per_entry > MAX_FRAME_BYTES
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestShutdown:
+    @pytest.mark.parametrize("client_open", [True, False], ids=["open", "closed"])
+    def test_sigint_with_a_keep_alive_client_exits_cleanly(
+        self, tmp_path, client_open
+    ):
+        """SIGINT ends ``repro-graph serve`` with exit 0 and no asyncio
+        traceback while a keep-alive client is connected or just left."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(_SRC), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--cache-dir", str(tmp_path / "cache")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("serving on "), line
+            client = ServeClient(line.split()[-1])
+            try:
+                for _ in range(50):
+                    assert client.health()["status"] == "ok"
+                if not client_open:
+                    client.close()
+                proc.send_signal(signal.SIGINT)
+                out, err = proc.communicate(timeout=30)
+            finally:
+                client.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err, err
+        assert "interrupted; shutting down" in out
 
 
 class TestStreamStateMachine:
