@@ -65,8 +65,8 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="worker count for the chosen backend (threads, processes, or "
-        "elastic pool members); default: the backend's own sizing",
+        help="worker count for the chosen backend (threads or processes); "
+        "default: the backend's own sizing",
     )
     p.add_argument(
         "--scheduler",

@@ -38,10 +38,8 @@ high-water mark, reset at the start of every run), ``engine.queue_depth``
 (peak in-flight tasks), ``engine.worker_utilization``
 (busy worker-seconds over ``workers × wall``), and
 ``engine.straggler_gap_s`` (slowest final attempt minus the median).
-Elastic backends add ``engine.workers_active`` (live members),
-``engine.revocations``, ``engine.lease_expiries``, and
-``engine.reassigned_tasks`` (tasks resubmitted after losing their
-worker — also incremented by ``run_iter`` for broken process pools).
+``run_iter`` adds ``engine.reassigned_tasks``: tasks resubmitted after
+their worker process died and broke the pool.
 
 NOTE Imports from ``repro.parallel`` are function-local only — see
 :mod:`repro.engine.plan` on the import cycle.
@@ -59,12 +57,7 @@ from repro.engine.config import RunConfig, resolve_run_config
 from repro.engine.plan import GenerationPlan, RankTask
 from repro.engine.scheduler import StaticScheduler
 from repro.engine.sinks import Sink
-from repro.errors import (
-    FatalRankError,
-    GenerationError,
-    RetryExhaustedError,
-    StorageError,
-)
+from repro.errors import FatalRankError, RetryExhaustedError, StorageError
 from repro.models import default_model
 from repro.runtime.events import RankEvents
 from repro.runtime.executor import ExecutionResult, RankExecutor, RankReport
@@ -249,7 +242,6 @@ def execute(
     max_retries: int = 0,
     rank_timeout_s: float | None = None,
     failure_injector: Callable[[int, int], None] | None = None,
-    scale_policy: Callable | None = None,
 ) -> EngineResult:
     """Run ``plan`` through ``sink`` — the one generation loop.
 
@@ -265,18 +257,10 @@ def execute(
     ``injector(rank, attempt)`` inside the worker, before the kernel —
     the adversary hook the failure tests drive.
 
-    On an elastic backend (:class:`~repro.typing.ElasticBackend`, e.g.
-    :class:`~repro.runtime.elastic.ElasticWorkerPool`) the engine binds
-    the pool's churn metrics into ``metrics``, bounds a backend-sized
-    in-flight window by the pool's *live* worker count, and installs
-    ``scale_policy`` (a ``PoolStats -> target size | None`` callable
-    consulted on submit/completion/tick — the autoscaler hook).  Passing
-    ``scale_policy`` with a non-elastic backend raises
-    :class:`~repro.errors.GenerationError`.  Membership churn never
-    changes output: lost tasks are reassigned with their original
-    identity and the reorder buffer still commits in ascending rank
-    order, so shard bytes, ``manifest.json``, and resume behavior match
-    a churn-free run exactly.
+    A lost worker never changes output: ``run_iter`` reassigns its task
+    with the original identity and the reorder buffer still commits in
+    ascending rank order, so shard bytes, ``manifest.json``, and resume
+    behavior match a run that lost no worker exactly.
     """
     cfg = resolve_run_config(
         "execute",
@@ -302,20 +286,6 @@ def execute(
             tracer=tracer,
             events=events,
         )
-    from repro.typing import ElasticBackend
-
-    elastic = isinstance(executor.backend, ElasticBackend)
-    if scale_policy is not None and not elastic:
-        raise GenerationError(
-            "scale_policy requires an elastic backend "
-            "(repro.runtime.elastic.ElasticWorkerPool); got "
-            f"{getattr(executor.backend, 'name', type(executor.backend).__name__)!r}"
-        )
-    if elastic:
-        if metrics is not None:
-            executor.backend.bind_metrics(metrics)
-        if scale_policy is not None:
-            executor.backend.set_scale_policy(scale_policy)
     if metrics is not None:
         # Gauges persist across runs on a reused registry; a small
         # second run must not report the first run's peak/depth.
@@ -427,15 +397,7 @@ def execute(
 
         max_in_flight = scheduler.max_in_flight
         if max_in_flight is None:
-            # An elastic window must track the *live* membership as
-            # workers join and leave; run_iter re-evaluates the callable
-            # before each submission (clamped >= 1 so an empty pool
-            # queues instead of stalling).
-            max_in_flight = (
-                executor.backend.worker_count
-                if elastic
-                else backend_worker_count(executor.backend)
-            )
+            max_in_flight = backend_worker_count(executor.backend)
         reports: List[Optional[RankReport]] = [None] * len(order)
         span_cm = (
             tracer.span("engine.stream", ranks=len(order))

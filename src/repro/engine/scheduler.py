@@ -9,7 +9,7 @@ about that loop:
   order they are handed to workers;
 * the **in-flight window** — ``max_in_flight`` caps how many tasks run
   at once; ``None`` lets the engine size it from the backend's worker
-  count (an elastic pool's *live* count).
+  count.
 
 Two orders ship:
 

@@ -61,19 +61,6 @@ class RankTimeoutError(TransientRankError):
     """A rank exceeded its per-rank timeout (cooperative, post-hoc)."""
 
 
-class WorkerLostError(RankExecutionError):
-    """The worker holding a task's lease vanished before finishing it
-    (spot-style revocation, missed heartbeats, or a dead pool process).
-
-    Deliberately *neither* transient nor fatal: losing a worker says
-    nothing about the task itself, so the executor reassigns the task to
-    another worker with its original identity and an **unchanged**
-    attempt counter — worker churn never burns a task's retry budget.
-    Reassignments have their own separate cap (``max_reassignments``)
-    so a pool that eats every worker still terminates.
-    """
-
-
 class RetryExhaustedError(RankExecutionError):
     """A rank kept failing after every permitted retry attempt."""
 

@@ -16,7 +16,7 @@ what those tiles contain.  Three models ship:
   repairs plain SKG's triangle deficiency.
 
 Models ride the whole stack unchanged: every sink, scheduler, backend,
-transport, resume path, and the elastic pool.  Build a plan with
+transport, and resume path.  Build a plan with
 :func:`repro.engine.plan_from_model` (stochastic family) or the
 historical design/chain builders (kron), or pass
 ``RunConfig(model=...)`` / ``repro-graph generate --model ...``.

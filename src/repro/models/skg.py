@@ -17,8 +17,8 @@ lean on:
   boundaries, memory budgets, schedulers, backends, worker churn, and
   transports cannot change a single byte of output;
 * any rank (or tile) can be regenerated in isolation, which is what
-  makes resume-after-crash byte-identical and the net/elastic paths
-  safe for free;
+  makes resume-after-crash and a lost worker's reassigned rank
+  byte-identical, and the net path safe, for free;
 * two runs differ iff their ``(seed, levels, num_edges, initiator)``
   differ — the same tuple the fingerprint digests, so manifests refuse
   cross-seed and cross-model resume.

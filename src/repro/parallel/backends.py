@@ -20,11 +20,6 @@ disagree.  Three implementations ship:
   inputs crosses the process boundary — the algorithm's no-communication
   property, enforced by construction).
 
-A fourth registry entry, ``"elastic"``, resolves to
-:class:`repro.runtime.elastic.ElasticWorkerPool` — a membership layer
-over a streaming inner backend whose workers can join, drain, or be
-revoked mid-run (byte-identical output under churn).
-
 Backends are registered by name; :func:`get_backend` is what the CLI's
 ``--backend`` flag and the generator's string-accepting entry points use;
 :func:`make_backend` additionally sizes the worker pool.
@@ -271,19 +266,10 @@ class MultiprocessingBackend:
             self._executor = None
 
 
-def _default_elastic_pool() -> Backend:
-    """Registry factory for ``--backend elastic`` (lazy import: the pool
-    lives in :mod:`repro.runtime.elastic`, above this module)."""
-    from repro.runtime.elastic import ElasticWorkerPool
-
-    return ElasticWorkerPool(workers=max(1, (os.cpu_count() or 1)))
-
-
 _BACKENDS: Dict[str, Callable[[], Backend]] = {
     "serial": SerialBackend,
     "thread": ThreadBackend,
     "multiprocessing": MultiprocessingBackend,
-    "elastic": _default_elastic_pool,
 }
 
 
@@ -312,8 +298,7 @@ def make_backend(name: str, workers: int | None = None) -> Backend:
 
     ``workers=None`` defers to the backend's own default sizing (same as
     :func:`get_backend`).  ``serial`` accepts only 1; ``thread`` /
-    ``multiprocessing`` size their pools; ``elastic`` sets the initial
-    member count.
+    ``multiprocessing`` size their pools.
     """
     if workers is None:
         return get_backend(name)
@@ -329,10 +314,6 @@ def make_backend(name: str, workers: int | None = None) -> Backend:
         return ThreadBackend(max_workers=workers)
     if name == "multiprocessing":
         return MultiprocessingBackend(processes=workers)
-    if name == "elastic":
-        from repro.runtime.elastic import ElasticWorkerPool
-
-        return ElasticWorkerPool(workers=workers)
     raise GenerationError(
         f"unknown backend {name!r}; choose from {list_backends()}"
     )

@@ -14,10 +14,6 @@ is the execution/observability layer the rest of the system plugs into:
   completion-streaming surface ``run_iter``;
 * :mod:`repro.runtime.events` — progress callbacks the CLI consumes for
   live per-rank output;
-* :mod:`repro.runtime.elastic` — :class:`ElasticWorkerPool`: a streaming
-  backend whose members join, drain, or are revoked mid-run, with a
-  lease/heartbeat layer and the :class:`WorkerRevoker` chaos adversary
-  (byte-identical output under any churn schedule);
 * :mod:`repro.runtime.checkpoint` — the durability layer: atomic
   fsync+rename shard writes, SHA-256 checksums, the per-run
   ``manifest.json`` (:class:`RunManifest`), shard quarantine, fatal
@@ -42,12 +38,6 @@ from repro.runtime.checkpoint import (
     payload_checksum,
     quarantine_shard,
     verify_shard_record,
-)
-from repro.runtime.elastic import (
-    ChurnAction,
-    ElasticWorkerPool,
-    PoolStats,
-    WorkerRevoker,
 )
 from repro.runtime.events import ConsoleProgress, RankEvents
 from repro.runtime.executor import (
@@ -116,8 +106,4 @@ __all__ = [
     "FailureInjector",
     "RankEvents",
     "ConsoleProgress",
-    "ChurnAction",
-    "ElasticWorkerPool",
-    "PoolStats",
-    "WorkerRevoker",
 ]

@@ -105,12 +105,13 @@ def file_checksum(path: str | Path, *, chunk_size: int = 1 << 20) -> str:
 
 # -- atomic writes ------------------------------------------------------------
 #: Per-process sequence keeping concurrent :class:`ShardWriter` temp files
-#: distinct even for the *same* target path.  Under elastic execution a
-#: revoked worker's ghost thread can still be streaming a shard while the
-#: reassigned task rewrites it in the same process; a pid-only suffix
-#: would interleave the two temp files.  With unique temps, each writer
-#: completes independently and the (deterministic, identical) content is
-#: renamed into place atomically whichever finishes last.
+#: distinct even for the *same* target path.  Two threads of one process
+#: can write one shard at once: a rank whose lost attempt is still
+#: streaming when its reassigned attempt starts, or two runs into one
+#: directory; a pid-only suffix would interleave the two temp files.
+#: With unique temps, each writer completes independently and the
+#: (deterministic, identical) content is renamed into place atomically
+#: whichever finishes last.
 _WRITER_SEQ = itertools.count()
 def atomic_write_bytes(path: str | Path, data: bytes, *, fsync: bool = True) -> None:
     """Write ``data`` to ``path`` atomically: temp file → fsync → rename.

@@ -28,9 +28,9 @@ class RankEvents:
     classified and the rank will be retried after ``delay_s``;
     ``on_straggler(rank, elapsed_s, median_s)`` — a rank came in slower
     than the straggler threshold relative to the round's median;
-    ``on_reassigned(rank, attempt, error)`` — the worker holding the
-    rank's lease vanished (revocation / missed heartbeats) and the same
-    attempt was handed to another worker.
+    ``on_reassigned(rank, attempt, error)`` — the worker running the
+    rank vanished (its process died and broke the pool) and the same
+    attempt was resubmitted.
     """
 
     on_rank_start: Optional[Callable[[int, int], None]] = None

@@ -47,7 +47,6 @@ from repro.errors import (
     RankTimeoutError,
     RetryExhaustedError,
     TransientRankError,
-    WorkerLostError,
 )
 from repro.runtime.events import RankEvents
 from repro.runtime.metrics import MetricsRegistry
@@ -306,12 +305,13 @@ class RankExecutor:
         Retry delay is ``min(cap, base * 2**attempt) * (1 + jitter * U)``
         with ``U ~ Uniform[0, 1)`` from the injectable ``rng``.
     max_reassignments:
-        How many times one task may lose its worker
-        (:class:`~repro.errors.WorkerLostError` / a broken pool) and be
-        handed to another, *without* consuming its retry budget — worker
-        churn says nothing about the task.  Exceeding the cap raises
-        :class:`~repro.errors.RetryExhaustedError` so a pool that eats
-        every worker still terminates.
+        How many times one task may lose its worker (its handle raises
+        :class:`concurrent.futures.BrokenExecutor`, as a process pool
+        does when a worker process dies) and be resubmitted, *without*
+        consuming its retry budget — a lost worker says nothing about
+        the task.  Exceeding the cap raises
+        :class:`~repro.errors.RetryExhaustedError` so a backend that
+        loses every worker still terminates.
     metrics / tracer / events:
         Observability hooks; all optional.
     clock / sleep / rng:
@@ -395,7 +395,7 @@ class RankExecutor:
         *,
         ranks: Sequence[int] | None = None,
         injector: Callable[[int, int], None] | None = None,
-        max_in_flight: int | Callable[[], int] | None = None,
+        max_in_flight: int | None = None,
         submit_hook: Callable[[Tuple[int, ...]], Optional[int]] | None = None,
     ) -> Iterator[TaskCompletion]:
         """Run ``fn`` over ``items``, yielding completions as they land.
@@ -423,17 +423,12 @@ class RankExecutor:
         flight would deadlock, so that case raises
         :class:`~repro.errors.GenerationError`.
 
-        ``max_in_flight`` may also be a zero-arg callable, re-evaluated
-        before each submission — how an elastic pool's *current* worker
-        count bounds the window as members join and leave (clamped to at
-        least 1 so a momentarily empty pool queues instead of stalling).
-
-        A task whose worker vanished mid-flight
-        (:class:`~repro.errors.WorkerLostError` from an elastic pool, or
-        a broken process pool) is *reassigned*: resubmitted with its
+        A task whose worker vanished mid-flight (its handle raises
+        :class:`concurrent.futures.BrokenExecutor`: a process pool whose
+        worker process died) is *reassigned*: resubmitted with its
         original task identity and an unchanged attempt counter, so
         injector schedules, retry budgets, and commit order are exactly
-        those of a churn-free run.  Reassignments are capped by
+        those of a run that lost no worker.  Reassignments are capped by
         ``max_reassignments`` and counted in ``engine.reassigned_tasks``.
 
         ``ranks`` names each item's rank (default: its position).  Events,
@@ -449,18 +444,14 @@ class RankExecutor:
         ranks = list(range(n)) if ranks is None else list(ranks)
         if len(ranks) != n:
             raise GenerationError(f"got {len(ranks)} ranks for {n} items")
-        if callable(max_in_flight):
-            dynamic_limit = max_in_flight
-            limit = lambda: max(1, int(dynamic_limit()))  # noqa: E731
-        elif max_in_flight is None:
-            limit = lambda: max(1, n)  # noqa: E731
+        if max_in_flight is None:
+            limit = max(1, n)
         elif max_in_flight < 1:
             raise GenerationError(
                 f"max_in_flight must be >= 1, got {max_in_flight}"
             )
         else:
-            static_limit = max_in_flight
-            limit = lambda: static_limit  # noqa: E731
+            limit = max_in_flight
         reports = [RankReport(rank=r) for r in ranks]
         if self.metrics is not None:
             self.metrics.gauge("ranks.total").set(n)
@@ -501,7 +492,7 @@ class RankExecutor:
             in_flight[backend.submit(_guarded_call, task)] = idx
 
         def fill() -> None:
-            while pending and len(in_flight) < limit():
+            while pending and len(in_flight) < limit:
                 if submit_hook is None:
                     choice = pending.pop(0)
                 else:
@@ -538,14 +529,13 @@ class RankExecutor:
                 attempt = attempts[idx]
                 try:
                     raw = handle.result()
-                except (WorkerLostError, BrokenExecutor) as exc:
-                    # The worker holding this task's lease vanished
-                    # (revocation / missed heartbeats / dead pool
+                except BrokenExecutor as exc:
+                    # The worker running this task vanished (a dead pool
                     # process).  That is a statement about the *worker*,
                     # not the task: reassign with the original identity
                     # and an unchanged attempt counter, so injector
-                    # schedules and retry budgets are those of a
-                    # churn-free run.
+                    # schedules and retry budgets are those of a run
+                    # that lost no worker.
                     span = spans.pop(idx, None)
                     if span is not None:
                         span.end_s = self._clock()

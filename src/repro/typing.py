@@ -99,63 +99,6 @@ class StreamingBackend(Protocol):
         ...
 
 
-@runtime_checkable
-class ElasticBackend(Protocol):
-    """A streaming backend whose worker pool can change mid-run.
-
-    Extends :class:`StreamingBackend` with membership operations: the
-    pool can **grow** (``add_workers``), **shrink gracefully**
-    (``remove_workers`` — in-flight tasks finish, no new dispatch), or
-    **lose members abruptly** (``revoke_workers`` — spot-style kill,
-    in-flight tasks are lost and surface as
-    :class:`~repro.errors.WorkerLostError` for the executor to
-    reassign).  ``worker_count()`` reports the members currently
-    eligible for new work, which the engine uses as a *dynamic*
-    in-flight limit; ``set_scale_policy`` installs an autoscaler
-    callback and ``bind_metrics`` wires pool gauges/counters into a
-    :class:`~repro.runtime.metrics.MetricsRegistry`.
-
-    The reference implementation is
-    :class:`repro.runtime.elastic.ElasticWorkerPool`.
-    """
-
-    name: str
-
-    def map(
-        self, fn: Callable[[_T_contra], _R_co], items: Sequence[_T_contra]
-    ) -> List[_R_co]: ...
-
-    def submit(
-        self, fn: Callable[[_T_contra], _R_co], item: _T_contra
-    ) -> WorkHandle: ...
-
-    def as_completed(self, handles: Sequence[WorkHandle]): ...
-
-    def worker_count(self) -> int:
-        """Members currently alive and accepting new dispatches."""
-        ...
-
-    def add_workers(self, n: int) -> Tuple[int, ...]:
-        """Grow the pool by ``n`` members; returns their ids."""
-        ...
-
-    def remove_workers(self, n: int) -> Tuple[int, ...]:
-        """Shrink gracefully by ``n`` members (drain, then retire)."""
-        ...
-
-    def revoke_workers(self, n: int, *, silent: bool = False) -> Tuple[int, ...]:
-        """Kill ``n`` members abruptly, losing their in-flight tasks."""
-        ...
-
-    def set_scale_policy(self, policy: object) -> None:
-        """Install an autoscaler callback (``PoolStats -> target size``)."""
-        ...
-
-    def bind_metrics(self, metrics: object) -> None:
-        """Publish pool gauges/counters into a metrics registry."""
-        ...
-
-
 #: An exact (arbitrary-precision) count: vertices, edges, triangles...
 ExactInt = int
 

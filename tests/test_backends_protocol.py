@@ -13,6 +13,7 @@ from repro.parallel import (
     default_start_method,
     get_backend,
     list_backends,
+    make_backend,
     resolve_backend,
 )
 from repro.typing import Backend, StreamingBackend
@@ -104,15 +105,20 @@ class TestBackendWorkerCount:
 
 class TestRegistry:
     def test_all_names_registered(self):
-        assert list_backends() == ["serial", "thread", "multiprocessing", "elastic"]
+        assert list_backends() == ["serial", "thread", "multiprocessing"]
 
-    @pytest.mark.parametrize(
-        "name", ["serial", "thread", "multiprocessing", "elastic"]
-    )
+    @pytest.mark.parametrize("name", ["serial", "thread", "multiprocessing"])
     def test_get_backend_returns_fresh_instance(self, name):
         a, b = get_backend(name), get_backend(name)
         assert a.name == name
         assert a is not b
+
+    def test_make_backend_sizes_pools(self):
+        assert make_backend("thread", 2).max_workers == 2
+        assert make_backend("multiprocessing", 3).processes == 3
+        assert make_backend("serial", 1).name == "serial"
+        with pytest.raises(GenerationError, match="single-worker"):
+            make_backend("serial", 4)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(GenerationError, match="unknown backend"):

@@ -13,7 +13,7 @@ from repro.catalog import (
 )
 from repro.design import PowerLawDesign
 from repro.errors import CatalogError
-from repro.models import StochasticKroneckerModel
+from repro.models import NoisySKGModel, StochasticKroneckerModel
 from repro.parallel.stream import generate_to_disk
 
 
@@ -108,14 +108,34 @@ class TestDesignCatalogFacade:
         assert again == record
         assert path.read_bytes() == good
 
-    def test_warm_lookup_hits_without_recompute(self, tmp_path, design):
+    @pytest.mark.parametrize("source", ["kron", "noisy-skg"])
+    def test_warm_lookup_hits_without_recompute(
+        self, tmp_path, monkeypatch, request, source
+    ):
+        import repro.catalog
+
+        if source == "kron":
+            subject = request.getfixturevalue("design")
+        else:
+            # The stochastic record bench_smoke's catalog guard times.
+            subject = NoisySKGModel(levels=12, num_edges=8192, seed=1)
+        calls = []
+        compute = repro.catalog.analytic_properties
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(repro.catalog, "analytic_properties", counting)
         catalog = DesignCatalog(tmp_path / "cache")
-        first = catalog.analytic(design)
+        first = catalog.analytic(subject)
+        assert len(calls) == 1
         path = catalog.cache.entry_path(first.key_digest, "analytic")
         mtime = path.stat().st_mtime_ns
-        second = catalog.analytic(design)
-        assert second == first
-        # Warm hits must not rewrite the entry.
+        for _ in range(3):
+            assert catalog.analytic(subject) == first
+        # A warm lookup is one cached read: no recompute, no rewrite.
+        assert len(calls) == 1
         assert path.stat().st_mtime_ns == mtime
 
     def test_refresh_forces_recompute_and_rewrite(self, tmp_path, design):

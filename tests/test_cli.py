@@ -159,6 +159,14 @@ class TestGenerateCommand:
         assert exc.value.code == 2
         assert "--kernel" in capsys.readouterr().err
 
+    def test_generate_elastic_backend_rejected(self, capsys):
+        # Three backends ship; on each, a lost worker is the executor's
+        # job (reassignment), not a backend's.
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "3", "4", "5", "--backend", "elastic"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'elastic'" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_passing_validation(self, capsys):

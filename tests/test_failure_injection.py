@@ -34,6 +34,7 @@ from repro.validate import (
     check_triangles,
     validate_design,
 )
+from tests.conftest import LoseWorkerBackend
 
 DESIGN = PowerLawDesign([3, 4, 5], "center")
 
@@ -476,10 +477,10 @@ class TestShmReclaimOnFailure:
         assert metrics.gauge("engine.shm_leaked").value == 0
 
 
-# -- worker churn at the worst possible moments -------------------------------
+# -- lost workers at the worst possible moments -------------------------------
 def _hold_tile_open(rank, attempt):
-    """Injected delay so tiles are genuinely in flight when the
-    adversary strikes (runs inside the worker, before the kernel)."""
+    """Injected delay so tiles are genuinely in flight when a worker is
+    lost (runs inside the worker, before the kernel)."""
     import time
 
     time.sleep(0.02)
@@ -506,13 +507,13 @@ class _KillWorkerProcessOnce:
 
 
 class TestRevocationChaos:
-    """Spot-style revocation at the nastiest points in a run.
+    """Workers lost at the nastiest points in a run.
 
-    The invariant under test is the elastic tentpole's hard guarantee:
-    whatever the churn schedule — a worker killed mid-tile, a worker
-    killed between a rank's commit and the run's finalize, a whole
-    process pool broken — the shard bytes and manifest are identical to
-    an uninterrupted static run.
+    Whatever the loss — a rank's worker lost while other ranks hold
+    tiles open, a worker lost after its rank ran (result discarded,
+    tiles already written), a loss between a rank's commit and the
+    run's finalize, a whole process pool broken — the shard bytes and
+    manifest are identical to an uninterrupted serial run.
     """
 
     N_RANKS = 8
@@ -539,51 +540,93 @@ class TestRevocationChaos:
             if p.suffix == ".tsv" or p.name == "manifest.json"
         }
 
-    def test_mid_tile_revocation_is_byte_identical(self, tmp_path):
-        from repro.engine import RunConfig, ShardSink, WorkQueueScheduler, execute
-        from repro.parallel import ThreadBackend
-        from repro.runtime import ChurnAction, ElasticWorkerPool, WorkerRevoker
+    def _run(self, backend, sink, scheduler, **kwargs):
+        from repro.engine import execute
+
+        try:
+            return execute(
+                self._plan(),
+                sink,
+                config=RunConfig(backend=backend, scheduler=scheduler),
+                **kwargs,
+            )
+        finally:
+            backend.shutdown()
+
+    @pytest.mark.parametrize("scheduler_name", ["static", "queue"])
+    @pytest.mark.parametrize("when", ["before", "after"])
+    @pytest.mark.parametrize(
+        "lost",
+        [(0,), (3,), (1, 6), tuple(range(8))],
+        ids=["rank0", "rank3", "ranks1+6", "all"],
+    )
+    def test_lost_worker_sweep(self, tmp_path, lost, when, scheduler_name):
+        from repro.engine import ShardSink, StaticScheduler, WorkQueueScheduler
+        from repro.runtime import MetricsRegistry
 
         reference = self._reference(tmp_path)
-        pool = ElasticWorkerPool(
-            ThreadBackend(max_workers=8), workers=3, lease_timeout_s=0.05
+        backend = LoseWorkerBackend(**{when: lost})
+        scheduler = (
+            WorkQueueScheduler()
+            if scheduler_name == "queue"
+            else StaticScheduler(max_in_flight=1)
         )
-        # At the first completion the other two members are holding
-        # tiles open (the injected delay guarantees it): the revocation
-        # lands mid-tile, busy member first.
-        WorkerRevoker(
-            [
-                ChurnAction(trigger="complete", at=1, op="revoke"),
-                ChurnAction(trigger="complete", at=2, op="add"),
-            ]
-        ).attach(pool)
+        metrics = MetricsRegistry()
+        out = tmp_path / "lossy"
+        result = self._run(backend, ShardSink(out), scheduler, metrics=metrics)
+        assert sorted(backend.lost) == sorted(lost)
+        # Each lost task was resubmitted once, as the same attempt: no
+        # task recorded a failed attempt or a retry.
+        assert metrics.snapshot()["counters"]["engine.reassigned_tasks"] == len(lost)
+        attempts = [[a.attempt for a in r.attempts] for r in result.execution.reports]
+        assert attempts == [[0]] * self.N_RANKS
+        assert self._snapshot(out) == reference
+
+    def test_mid_tile_revocation_is_byte_identical(self, tmp_path):
+        from repro.engine import ShardSink, WorkQueueScheduler
+
+        reference = self._reference(tmp_path)
+        # Three workers hold tiles open (the injected delay guarantees
+        # it) while rank 2's worker is lost before it runs and ranks 1
+        # and 5 lose theirs after running, their results discarded.
+        # Rank 5 also fails its attempt 0, in the lost run and again in
+        # the reassigned one: the injector follows the rank and the
+        # attempt number across the reassignment.
+        backend = LoseWorkerBackend(before=(2,), after=(1, 5), max_workers=3)
+        fail_first = FailureInjector([5], fail_attempts=1)
+
+        def injector(rank, attempt):
+            _hold_tile_open(rank, attempt)
+            fail_first(rank, attempt)
+
         out = tmp_path / "churned"
-        try:
-            execute(
-                self._plan(),
-                ShardSink(out),
-                config=RunConfig(backend=pool, scheduler=WorkQueueScheduler()),
-                failure_injector=_hold_tile_open,
-            )
-            assert pool.stats().revoked == 1
-        finally:
-            pool.shutdown()
+        result = self._run(
+            backend,
+            ShardSink(out),
+            WorkQueueScheduler(),
+            failure_injector=injector,
+            max_retries=1,
+        )
+        assert sorted(backend.lost) == [1, 2, 5]
+        attempts = {
+            r.rank: [(a.attempt, a.ok) for a in r.attempts]
+            for r in result.execution.reports
+        }
+        assert attempts.pop(5) == [(0, False), (1, True)]
+        assert all(a == [(0, True)] for a in attempts.values())
         assert self._snapshot(out) == reference
 
     def test_revocation_between_commit_and_finalize(self, tmp_path):
-        from repro.engine import RunConfig, ShardSink, WorkQueueScheduler, execute
-        from repro.parallel import ThreadBackend
-        from repro.runtime import ElasticWorkerPool
+        from repro.engine import ShardSink, StaticScheduler
 
         reference = self._reference(tmp_path)
-        pool = ElasticWorkerPool(
-            ThreadBackend(max_workers=8), workers=3, lease_timeout_s=0.05
-        )
+        backend = LoseWorkerBackend()
 
-        class RevokeAfterCommit(ShardSink):
-            """Kills a worker right after the 3rd rank commits — inside
-            the window between commit and finalize, where later ranks
-            are still queued or in flight."""
+        class LoseAfterCommit(ShardSink):
+            """After the 3rd rank commits — inside the window between
+            commit and finalize, where later ranks are still queued —
+            every later rank loses its worker once, half of them after
+            running."""
 
             commits = 0
 
@@ -591,21 +634,14 @@ class TestRevocationChaos:
                 super().commit(task, outcome)
                 inner_self.commits += 1
                 if inner_self.commits == 3:
-                    pool.revoke_workers(1)
-                    pool.add_workers(1)
+                    later = range(task.rank + 1, self.N_RANKS)
+                    backend.before.update(r for r in later if r % 2)
+                    backend.after.update(r for r in later if not r % 2)
 
         out = tmp_path / "late-churn"
-        sink = RevokeAfterCommit(out)
-        try:
-            execute(
-                self._plan(),
-                sink,
-                config=RunConfig(backend=pool, scheduler=WorkQueueScheduler()),
-                failure_injector=_hold_tile_open,
-            )
-            assert pool.stats().revoked == 1
-        finally:
-            pool.shutdown()
+        sink = LoseAfterCommit(out)
+        self._run(backend, sink, StaticScheduler(max_in_flight=1))
+        assert backend.lost == [3, 4, 5, 6, 7]
         assert sink.commits == self.N_RANKS
         assert self._snapshot(out) == reference
 

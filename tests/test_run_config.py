@@ -143,6 +143,7 @@ class TestDriversHonourConfig:
                 DESIGN.to_chain(), VirtualCluster(2), kernel="numpy"
             ),
             lambda: execute(plan, DegreeSink(), config=RunConfig(), backend="serial"),
+            lambda: execute(plan, DegreeSink(), scale_policy=lambda stats: 2),
             lambda: generate_to_disk(
                 DESIGN, 2, tmp_path, config=RunConfig(), memory_budget_entries=BUDGET
             ),

@@ -2,10 +2,15 @@
 
 Every case drives the one execution surface, ``run_iter``.  All timing
 uses a deterministic fake clock; no test sleeps for real (except the
-thread-overlap case, with tiny real sleeps).
+thread-overlap case, with tiny real sleeps, and the cases that kill a
+real pool process).
 """
 
+import os
 import random
+from concurrent.futures import BrokenExecutor
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +19,7 @@ from repro.errors import (
     RetryExhaustedError,
     TransientRankError,
 )
-from repro.parallel import SerialBackend
+from repro.parallel import MultiprocessingBackend, SerialBackend
 from repro.runtime import (
     FailureInjector,
     MetricsRegistry,
@@ -468,3 +473,152 @@ class TestRunIter:
             backend.shutdown()
         assert sorted(c.value for c in done) == sorted(durations)
         assert wall < sum(durations)
+
+
+# -- a lost worker: reassignment, not retry ------------------------------------
+class _LoseFirstHandle:
+    def __init__(self, error):
+        self._error = error
+
+    def result(self):
+        raise self._error
+
+
+class LoseFirstBackend:
+    """Streaming backend that loses chosen ranks' first submission with
+    ``BrokenExecutor``, then delegates to serial (a task's rank is its
+    index unless ``run_iter`` is given ranks)."""
+
+    name = "lose-first"
+
+    def __init__(self, lose_indices, forever=False):
+        self.lose = set(lose_indices)
+        self.forever = forever
+        self.inner = SerialBackend()
+        self.lost_submissions = 0
+
+    def submit(self, fn, task):
+        if task.rank in self.lose:
+            if not self.forever:
+                self.lose.discard(task.rank)
+            self.lost_submissions += 1
+            return _LoseFirstHandle(
+                BrokenExecutor(f"synthetic loss of rank {task.rank}")
+            )
+        return self.inner.submit(fn, task)
+
+    def as_completed(self, handles):
+        return iter(handles)
+
+    def map(self, fn, items):
+        return [self.submit(fn, item).result() for item in items]
+
+
+class TestExecutorReassignment:
+    def test_reassigned_task_keeps_identity_and_attempt(self):
+        backend = LoseFirstBackend({1})
+        metrics = MetricsRegistry()
+        executor = RankExecutor(backend, metrics=metrics)
+        done = list(executor.run_iter(lambda t: t * 10, [5, 6, 7]))
+        values = {c.index: c.value for c in done}
+        assert values == {0: 50, 1: 60, 2: 70}
+        # The lost submission added no attempt record: reassignment is
+        # not a retry.
+        report = next(c.report for c in done if c.index == 1)
+        assert [a.attempt for a in report.attempts] == [0]
+        assert (
+            metrics.snapshot()["counters"]["engine.reassigned_tasks"] == 1
+        )
+
+    def test_reassignment_does_not_consume_retry_budget(self):
+        # Task 0 both loses its worker AND fails its (reassigned) first
+        # attempt; with max_retries=1 it must still succeed — worker
+        # loss and task failure draw on separate budgets.
+        backend = LoseFirstBackend({0})
+        injector = FailureInjector([0], fail_attempts=1)
+
+        def fn(task):
+            return task
+
+        executor = RankExecutor(backend, max_retries=1, sleep=lambda _: None)
+        done = list(
+            executor.run_iter(fn, ["a", "b"], injector=lambda i, a: injector(i, a))
+        )
+        report = next(c.report for c in done if c.index == 0)
+        # attempt 0 (post-reassignment) failed via the injector, attempt
+        # 1 succeeded: the injector saw the original attempt number.
+        assert [a.ok for a in report.attempts] == [False, True]
+
+    def test_reassignment_budget_exhausts(self):
+        backend = LoseFirstBackend({0}, forever=True)
+        executor = RankExecutor(backend, max_reassignments=3)
+        with pytest.raises(RetryExhaustedError, match="reassignment budget 3"):
+            list(executor.run_iter(lambda t: t, [1]))
+        assert backend.lost_submissions == 4  # initial + 3 reassignments
+
+    def test_rank_mapped_injector_identity_across_reassignment(self):
+        # Items carry ranks (7, 3): the injector is called with the rank,
+        # also when rank 7's lost submission is re-dispatched.
+        seen = []
+        executor = RankExecutor(LoseFirstBackend({7}))
+        done = list(
+            executor.run_iter(
+                lambda t: t,
+                ["a", "b"],
+                ranks=[7, 3],
+                injector=lambda rank, attempt: seen.append((rank, attempt)),
+            )
+        )
+        assert seen == [(3, 0), (7, 0)]
+        assert {c.index: c.report.rank for c in done} == {0: 7, 1: 3}
+
+
+# -- broken process pools -------------------------------------------------------
+def _exit_hard(_):
+    os._exit(13)
+
+
+@dataclass(frozen=True)
+class _KillProcessOnce:
+    """Kill the worker process on the first call; no-op once the flag
+    file exists (so the reassigned task completes).  Module-level and
+    frozen for pickling into the pool."""
+
+    flag_dir: str
+
+    def __call__(self, task):
+        flag = Path(self.flag_dir) / "killed"
+        if not flag.exists():
+            flag.write_text("x")
+            os._exit(17)
+        return task * 2
+
+
+class TestBrokenPoolRecovery:
+    def test_submit_rebuilds_after_worker_death(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        backend = MultiprocessingBackend(processes=1)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                backend.submit(_exit_hard, None).result()
+            # The old contract left the executor broken forever; now the
+            # next submit gets a fresh pool.
+            assert backend.submit(len, "abcd").result() == 4
+        finally:
+            backend.shutdown()
+
+    def test_run_iter_reassigns_across_pool_rebuild(self, tmp_path):
+        backend = MultiprocessingBackend(processes=1)
+        metrics = MetricsRegistry()
+        executor = RankExecutor(backend, metrics=metrics)
+        try:
+            done = list(
+                executor.run_iter(
+                    _KillProcessOnce(str(tmp_path)), [3, 4], max_in_flight=1
+                )
+            )
+        finally:
+            backend.shutdown()
+        assert {c.index: c.value for c in done} == {0: 6, 1: 8}
+        assert metrics.snapshot()["counters"]["engine.reassigned_tasks"] >= 1

@@ -44,6 +44,7 @@ from repro.errors import GenerationError
 from repro.net import TileCollector, TransportSink, execute_over_transport, local_pair
 from repro.runtime import MetricsRegistry
 from repro.runtime.checkpoint import STATUS_FAILED, RunManifest
+from tests.conftest import LoseWorkerBackend
 
 DESIGN = PowerLawDesign([3, 4, 5], "center")
 
@@ -302,33 +303,13 @@ class TestByteIdentityAcrossTransports:
 
 
 class TestByteIdentityUnderChurn:
-    """The elastic hard invariant, across transports: a run whose worker
-    pool is revoked mid-tile and regrown must collect the exact bytes of
-    an uninterrupted static run."""
+    """A lost worker, across transports: a run that loses one rank's
+    worker before the rank runs and another's after it ran (its result
+    discarded) must collect the exact bytes of a run that lost none."""
 
-    CHURN = (
-        ("dispatch", 2, "revoke", 1, False),
-        ("dispatch", 4, "revoke", 1, True),
-        ("complete", 1, "add", 2, False),
-        ("complete", 3, "remove", 1, False),
-    )
-
-    def _churn_pool(self):
-        from repro.parallel.backends import ThreadBackend
-        from repro.runtime import ChurnAction, ElasticWorkerPool, WorkerRevoker
-
-        pool = ElasticWorkerPool(
-            ThreadBackend(max_workers=8), workers=3, lease_timeout_s=0.05
-        )
-        revoker = WorkerRevoker(
-            [
-                ChurnAction(
-                    trigger=t, at=a, op=op, workers=w, silent=silent
-                )
-                for t, a, op, w, silent in self.CHURN
-            ]
-        ).attach(pool)
-        return pool, revoker
+    @staticmethod
+    def _lossy_backend():
+        return LoseWorkerBackend(before=(1,), after=(4,))
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
@@ -336,7 +317,8 @@ class TestByteIdentityUnderChurn:
         self, baseline_static, tmp_path, transport, scheduler_name
     ):
         plan, base_dir = baseline_static
-        pool, revoker = self._churn_pool()
+        backend = self._lossy_backend()
+        metrics = MetricsRegistry()
         out = tmp_path / f"churn-{transport}-{scheduler_name}"
         try:
             result = execute_over_transport(
@@ -344,12 +326,14 @@ class TestByteIdentityUnderChurn:
                 ShardSink(out),
                 transport=transport,
                 config=RunConfig(
-                    backend=pool, scheduler=SCHEDULERS[scheduler_name]()
+                    backend=backend, scheduler=SCHEDULERS[scheduler_name]()
                 ),
+                metrics=metrics,
             )
         finally:
-            pool.shutdown()
-        assert any(a.op == "revoke" for a, _ in revoker.fired)
+            backend.shutdown()
+        assert sorted(backend.lost) == [1, 4]
+        assert metrics.snapshot()["counters"]["engine.reassigned_tasks"] == 2
         assert shard_bytes(out) == shard_bytes(base_dir)
         assert manifest_identity_fields(out) == manifest_identity_fields(base_dir)
         assert result.sink_result.total_edges == DESIGN.num_edges
@@ -369,44 +353,43 @@ class TestByteIdentityUnderChurn:
         self, baseline_static, tmp_path
     ):
         plan, base_dir = baseline_static
-        pool, revoker = self._churn_pool()
+        backend = self._lossy_backend()
         out = tmp_path / "churn-direct"
         try:
-            execute(
+            result = execute(
                 plan,
                 ShardSink(out),
-                config=RunConfig(backend=pool, scheduler=WorkQueueScheduler()),
+                config=RunConfig(backend=backend, scheduler=WorkQueueScheduler()),
             )
         finally:
-            pool.shutdown()
-        assert any(a.op == "revoke" for a, _ in revoker.fired)
+            backend.shutdown()
+        assert sorted(backend.lost) == [1, 4]
+        # A lost worker is not a failed attempt.
+        assert result.execution.total_retries == 0
         assert shard_bytes(out) == shard_bytes(base_dir)
         assert manifest_identity_fields(out) == manifest_identity_fields(base_dir)
 
     def test_resume_after_churned_crash_matches_clean(self, tmp_path):
         from repro.parallel import generate_to_disk
-        from repro.runtime import ChurnAction, ElasticWorkerPool, WorkerRevoker
         from repro.runtime.checkpoint import CrashInjector, SimulatedCrash
 
         clean = tmp_path / "clean"
         generate_to_disk(DESIGN, 4, clean)
         churned = tmp_path / "churned"
-        pool = ElasticWorkerPool(workers=2, lease_timeout_s=0.05)
-        WorkerRevoker(
-            [ChurnAction(trigger="dispatch", at=1, op="revoke")]
-        ).attach(pool)
+        backend = LoseWorkerBackend(before=(0,), after=(1,))
         try:
             with pytest.raises(SimulatedCrash):
                 generate_to_disk(
                     DESIGN,
                     4,
                     churned,
-                    config=RunConfig(backend=pool),
+                    config=RunConfig(backend=backend),
                     crash_hook=CrashInjector(2),
                 )
         finally:
-            pool.shutdown()
-        # Resume the churn-interrupted run on a fresh static backend: the
+            backend.shutdown()
+        assert backend.lost == [0, 1]
+        # Resume the interrupted run on a backend that loses nothing: the
         # manifest left behind must be a valid checkpoint.
         summary = generate_to_disk(
             DESIGN, 4, churned, config=RunConfig(resume=True)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Benchmark smoke target: ``python tools/bench_smoke.py``.
 
-Ten cheap CI guards:
+Nine cheap CI guards:
 
 1. the Fig.-3 scaling benchmark at toy scale (the metrics-snapshot test
    only), asserting a machine-readable metrics JSON was produced — the
@@ -25,30 +25,23 @@ Ten cheap CI guards:
    *and* ``manifest.json`` — is byte-identical to a direct
    ``ShardSink`` run and that frames actually crossed the wire — the
    distributed path stays exact;
-7. the elastic-churn guard: a streamed run on an ``ElasticWorkerPool``
-   that loses two workers mid-run (one loud revocation, one silent
-   spot-style kill detected by lease expiry) and gains two replacements
-   must produce shards and manifest byte-identical to the same run on a
-   static pool, within 2.5x the static wall-clock, with the churn
-   metrics (``engine.revocations``, ``engine.reassigned_tasks``,
-   ``engine.lease_expiries``, ``engine.workers_active``) recorded —
-   elasticity stays free of correctness cost and cheap in time;
-8. the model-determinism guard: a stochastic-Kronecker (``skg``) run
+7. the model-determinism guard: a stochastic-Kronecker (``skg``) run
    executed twice with the same seed must produce byte-identical shards
    and manifest, a different seed must change the bytes, and the
    per-model edges/sec (``kron``/``skg``/``noisy-skg`` at a common toy
    scale) is appended to the recorded ``BENCH_models.json`` trajectory —
    counter-based seeding stays reproducible and the model layer's
    throughput stays observable;
-9. the catalog-cache guard: a warm ``DesignCatalog`` lookup (one
-   cached read) must beat the cold analytic compute of the same
-   stochastic-model record by >=10x and return a byte-identical cache
-   entry; a corrupted (bit-flipped) entry must be silently recomputed
-   — never trusted, never a crash — restoring the original bytes; the
-   cold/warm latencies and speedup are appended to the recorded
-   ``BENCH_catalog.json`` trajectory — the design-server latency
-   contract (a warm lookup is a single cached read) stays measured;
-10. the serve-latency guard: 32 concurrent clients issuing warm
+8. the catalog-cache guard: a warm ``DesignCatalog`` lookup of a
+   stochastic-model record must return the cold compute's record and
+   leave its cache entry byte-identical; a corrupted (bit-flipped)
+   entry must be silently recomputed — never trusted, never a crash —
+   restoring the original bytes; the cold/warm latencies and speedup
+   are appended to the recorded ``BENCH_catalog.json`` trajectory — the
+   design-server latency contract stays measured (that a warm lookup
+   computes nothing is asserted by
+   ``tests/test_catalog_cache.py::test_warm_lookup_hits_without_recompute``);
+9. the serve-latency guard: 32 concurrent clients issuing warm
    ``GET /v1/design/{digest}`` queries against an in-process
    :class:`repro.serve.DesignServer` must all be served from the
    catalog cache (zero engine executions during the measured phase)
@@ -448,132 +441,8 @@ def _load_trajectory(path: Path) -> list[dict]:
         return json.load(fh)["trajectory"]
 
 
-def smoke_elastic_churn(root: Path, artifact_dir: Path | None) -> int:
-    """Guard 7: revoke-2-add-2 churn must cost nothing in bytes and at
-    most 2.5x the static wall-clock."""
-    sys.path.insert(0, str(root / "src"))
-    from repro.design import PowerLawDesign
-    from repro.engine import RunConfig, ShardSink, WorkQueueScheduler, execute, plan_from_design
-    from repro.parallel.backends import ThreadBackend
-    from repro.runtime import (
-        ChurnAction,
-        ElasticWorkerPool,
-        MetricsRegistry,
-        WorkerRevoker,
-    )
-
-    design = PowerLawDesign([3, 4, 5], "center")
-    n_ranks = 8
-    workers = 4
-    wall_ceiling = 2.5
-    delay = StragglerDelay(slow_rank=-1, base_s=0.02)  # uniform small delay
-    plan = plan_from_design(design, n_ranks)
-
-    with tempfile.TemporaryDirectory(prefix="repro-elastic-smoke-") as tmp:
-        static_dir = Path(tmp) / "static"
-        backend = ThreadBackend(max_workers=workers)
-        t0 = time.perf_counter()
-        execute(
-            plan,
-            ShardSink(static_dir),
-            config=RunConfig(backend=backend, scheduler=WorkQueueScheduler()),
-            failure_injector=delay,
-        )
-        static_wall = time.perf_counter() - t0
-        backend.shutdown()
-
-        churned_dir = Path(tmp) / "churned"
-        metrics = MetricsRegistry()
-        pool = ElasticWorkerPool(
-            ThreadBackend(max_workers=2 * workers),
-            workers=workers,
-            lease_timeout_s=0.05,
-        )
-        revoker = WorkerRevoker(
-            [
-                ChurnAction(trigger="dispatch", at=3, op="revoke"),
-                ChurnAction(trigger="dispatch", at=6, op="revoke", silent=True),
-                ChurnAction(trigger="complete", at=2, op="add"),
-                ChurnAction(trigger="complete", at=4, op="add"),
-            ]
-        ).attach(pool)
-        t0 = time.perf_counter()
-        try:
-            execute(
-                plan,
-                ShardSink(churned_dir),
-                config=RunConfig(backend=pool, scheduler=WorkQueueScheduler()),
-                metrics=metrics,
-                failure_injector=delay,
-            )
-            churned_wall = time.perf_counter() - t0
-            snapshot = metrics.snapshot()
-        finally:
-            pool.shutdown()
-
-        if len(revoker.fired) != 4:
-            print(
-                f"bench-smoke: only {len(revoker.fired)} of 4 churn actions "
-                "fired — the schedule did not engage",
-                file=sys.stderr,
-            )
-            return 1
-        for name in [f"edges.{r}.tsv" for r in range(n_ranks)] + ["manifest.json"]:
-            if (static_dir / name).read_bytes() != (churned_dir / name).read_bytes():
-                print(
-                    f"bench-smoke: {name} differs between static and "
-                    "churned elastic runs",
-                    file=sys.stderr,
-                )
-                return 1
-        if churned_wall > wall_ceiling * static_wall:
-            print(
-                f"bench-smoke: churned wall {churned_wall:.3f}s exceeds "
-                f"{wall_ceiling}x static wall {static_wall:.3f}s",
-                file=sys.stderr,
-            )
-            return 1
-        counters = snapshot["counters"]
-        if counters.get("engine.revocations", 0) != 2:
-            print(
-                f"bench-smoke: expected 2 revocations, metrics recorded "
-                f"{counters.get('engine.revocations', 0)}",
-                file=sys.stderr,
-            )
-            return 1
-        if counters.get("engine.reassigned_tasks", 0) < 1:
-            print(
-                "bench-smoke: churn reassigned no tasks — the revocations "
-                "hit no in-flight work",
-                file=sys.stderr,
-            )
-            return 1
-    snapshot["run"] = {
-        "command": "bench-smoke elastic-churn",
-        "ranks": n_ranks,
-        "workers": workers,
-        "churn": "revoke-2-add-2 (one silent)",
-        "static_wall_s": static_wall,
-        "churned_wall_s": churned_wall,
-        "wall_ceiling": wall_ceiling,
-    }
-    if artifact_dir is not None:
-        artifact_dir.mkdir(parents=True, exist_ok=True)
-        out = artifact_dir / "elastic_metrics.json"
-        out.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-        print(f"bench-smoke: wrote elastic-churn metrics to {out}", file=sys.stderr)
-    print(
-        "bench-smoke: OK — revoke-2-add-2 churn byte-identical to static "
-        f"({churned_wall:.3f}s vs {static_wall:.3f}s static, "
-        f"{counters.get('engine.reassigned_tasks', 0):.0f} reassigned, "
-        f"{counters.get('engine.lease_expiries', 0):.0f} lease expiries)",
-        file=sys.stderr,
-    )
-    return 0
-
-
 def smoke_model_determinism(root: Path, artifact_dir: Path | None) -> int:
-    """Guard 8: SKG seed determinism and the per-model BENCH trajectory."""
+    """Guard 7: SKG seed determinism and the per-model BENCH trajectory."""
     sys.path.insert(0, str(root / "src"))
     from repro.design import PowerLawDesign
     from repro.engine import ShardSink, execute, plan_from_design, plan_from_model
@@ -682,15 +551,14 @@ def smoke_model_determinism(root: Path, artifact_dir: Path | None) -> int:
 
 
 def smoke_catalog_cache(root: Path, artifact_dir: Path | None) -> int:
-    """Guard 9: warm catalog lookups and corrupt-entry recompute."""
+    """Guard 8: warm catalog lookups and corrupt-entry recompute."""
     sys.path.insert(0, str(root / "src"))
     from repro.catalog import DesignCatalog, key_digest
     from repro.catalog.record import SOURCE_ANALYTIC
     from repro.models import NoisySKGModel
 
-    # Cheap enough for CI, and still expensive enough that the cold
-    # streamed compute (~11-14 ms on a 2-core VM) takes 14-34x the warm
-    # JSON read (~0.5-1.0 ms), above the 10x floor below.
+    # Cheap enough for CI: the cold streamed compute takes ~11-14 ms on
+    # a 2-core VM, the warm JSON read ~0.5-1.0 ms.
     model = NoisySKGModel(levels=12, num_edges=8192, seed=1)
     with tempfile.TemporaryDirectory(prefix="repro-catalog-") as tmp:
         catalog = DesignCatalog(Path(tmp))
@@ -729,14 +597,6 @@ def smoke_catalog_cache(root: Path, artifact_dir: Path | None) -> int:
             )
             return 1
         speedup = cold_s / max(warm_s, 1e-9)
-        if speedup < 10.0:
-            print(
-                f"bench-smoke: warm catalog lookup only {speedup:.1f}x "
-                f"faster than cold compute (cold {cold_s:.3f}s, warm "
-                f"{warm_s:.3f}s); the cache is not earning its keep",
-                file=sys.stderr,
-            )
-            return 1
 
         # Flip one byte in the stored entry: the cache must refuse it
         # and the next lookup must recompute, not crash.
@@ -808,7 +668,7 @@ def smoke_catalog_cache(root: Path, artifact_dir: Path | None) -> int:
 
 
 def smoke_serve_latency(root: Path, artifact_dir: Path | None) -> int:
-    """Guard 10: warm design queries under concurrency stay flat.
+    """Guard 9: warm design queries under concurrency stay flat.
 
     32 concurrent clients hammer the warm ``GET /v1/design/{digest}``
     path of an in-process :class:`repro.serve.DesignServer`.  Every
@@ -950,7 +810,6 @@ def main(argv: list[str] | None = None) -> int:
         lambda: smoke_degree_reader(root),
         lambda: smoke_straggler_queue(root, args.artifact_dir),
         lambda: smoke_socket_sink(root, args.artifact_dir),
-        lambda: smoke_elastic_churn(root, args.artifact_dir),
         lambda: smoke_model_determinism(root, args.artifact_dir),
         lambda: smoke_catalog_cache(root, args.artifact_dir),
         lambda: smoke_serve_latency(root, args.artifact_dir),
