@@ -21,8 +21,9 @@ run by the accumulator :class:`TrianglePass`:
    takes the edges a chunk at a time, counts every vertex's stored
    incidence (the non-loop entries touching it), an O(V) array, and
    appends the chunk's non-loop entries to an anonymous binary spill
-   (``tempfile.TemporaryFile``, 16 bytes per entry).  It infers the
-   vertex count, or checks every endpoint against the given one.
+   (``tempfile.TemporaryFile``, 16 bytes per entry).  Every endpoint,
+   a self-loop's too, must be non-negative and below the given vertex
+   count; without one, the non-loop entries set the inferred count.
    Vertices are ranked by ``(incidence, id)`` and every edge is
    oriented from its lower- to its higher-ranked endpoint, so a hub's
    edges belong to its lower-degree neighbours: every out-list stays
@@ -35,20 +36,35 @@ run by the accumulator :class:`TrianglePass`:
    budget together.  A single hub vertex may exceed the half budget on
    its own; then, as in the engine's tiling story, peak memory is
    ``max(budget, 2 × largest out-list)``.
-3. For each block pair ``(A, B)`` with ``B ≥ A`` the keys are read once
-   more, :data:`SPILL_READ_ENTRIES` at a time, keeping only those whose
-   source lands in A or B, deduplicated by sort into CSR slabs.  The
-   wedges ``v, w ∈ out(u)``, ``v < w`` with ``u ∈ A`` and ``v ∈ B`` are
-   expanded by slicing A's rows, at most as many wedges at a time as
-   the pair holds entries (so never more than the budget, hub rows
-   aside), and closed by one ``searchsorted`` of ``v·n + w`` over B's
-   keys — ``out(v)`` lives in B because ``v`` is its source.
-   Each triangle ``u < v < w`` (in rank order) is therefore found
-   exactly once, in the pair ``(block(u), block(v))``.
+3. The out-list counts give each block's exact share of the keys, its
+   **region**.  With several blocks, the *copy pass* moves every key
+   into its block's region of a second spill (8 bytes per entry) and
+   then closes the first, so the two never hold more than pass 0's 16
+   bytes per entry; with one block the spill already is that region.
+   The *sort pass* then sorts and deduplicates each region in place,
+   holding one block's raw keys at a time.
+4. For each block pair ``(A, B)`` with ``B ≥ A``, the pair reads just
+   its two sorted regions — A's once per row of pairs, B's once per
+   pair — as CSR slabs.  The wedges ``v, w ∈ out(u)``, ``v < w`` with
+   ``u ∈ A`` and ``v ∈ B`` are expanded by slicing A's rows, at most as
+   many wedges at a time as the pair holds entries (so never more than
+   the budget, hub rows aside).  Each wedge key ``v·n + w`` is screened
+   against a bool table in which every key of B sets its slot, the top
+   bits of ``key × SCREEN_HASH``; the table has one to
+   :data:`SCREEN_SLOTS_PER_ENTRY` slots per entry the pair holds.  A wedge
+   whose slot is clear cannot close.  The survivors go to one
+   ``searchsorted`` over B's keys and an exact compare, which alone
+   decides a triangle — ``out(v)`` lives in B because ``v`` is its
+   source.  Each triangle ``u < v < w`` (in rank order) is therefore
+   found exactly once, in the pair ``(block(u), block(v))``.
 
-``stream_passes`` is ``2 + k(k + 1)/2`` for ``k`` blocks: passes over
-the edges, of which only pass 0 reads the source.  ``peak_entries``
-records the most deduplicated entries one pair held.
+``stream_passes`` counts the passes over every edge: pass 0 (the only
+one that reads the source), pass 1, the copy pass when there are
+several blocks, and the sort pass, so ``3 + (k > 1)`` for ``k`` blocks.
+The ``k(k + 1)/2`` block-pair passes read only their own regions and
+are not counted.  ``peak_entries`` records the most deduplicated
+entries one pair held; the screen's table adds at most 2 bytes per held
+entry.
 Per-edge support lives in one int64 array per block, indexed like the
 block's CSR entries: O(distinct edges), outside the adjacency budget
 like the O(V) per-vertex array.  A closed wedge adds one to each of its
@@ -63,7 +79,7 @@ import tempfile
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,10 +94,19 @@ DEFAULT_TRIANGLE_BUDGET_ENTRIES = 50_000_000
 #: The largest vertex count whose closure keys ``src·n + dst`` fit int64.
 MAX_TRIANGLE_VERTICES = isqrt(2**63 - 1)
 
-#: Entries per read of the spill.  A pass holds one read besides the
-#: block slabs, so its scratch memory stays fixed whatever the edge
-#: count.
+#: Entries per read of the spill in pass 1 and the copy pass.  Either
+#: holds one read besides its O(V) arrays, so its scratch memory stays
+#: fixed whatever the edge count.
 SPILL_READ_ENTRIES = 1 << 16
+
+#: The wedge screen's table has the largest power of two of slots not
+#: above this many per adjacency entry the block pair holds: one bool
+#: per slot, so at most 2 bytes per held entry.
+SCREEN_SLOTS_PER_ENTRY = 2
+
+#: Odd 64-bit multiplier of the screen's hash: a key's slot is the top
+#: bits of ``key × SCREEN_HASH`` mod 2^64.
+SCREEN_HASH = 0x9E3779B97F4A7C15
 
 
 def _check_vertex_count(n: int) -> None:
@@ -118,26 +143,27 @@ class _Block:
     dst: np.ndarray
 
 
-def _load_blocks(
-    chunks: Iterable[np.ndarray], n: int, ranges: Sequence[Tuple[int, int]]
-) -> List[_Block]:
-    """One pass over the oriented keys keeping those whose source lies
-    in the given rank ranges, deduplicated by sort and adjacent
-    difference."""
-    kept: List[List[np.ndarray]] = [[] for _ in ranges]
-    for keys in chunks:
-        for part, (lo, hi) in zip(kept, ranges):
-            part.append(keys[(keys >= lo * n) & (keys < hi * n)])
-    blocks = []
-    for part, (lo, hi) in zip(kept, ranges):
-        keys = np.sort(np.concatenate(part)) if part else np.zeros(0, np.int64)
-        if len(keys):
-            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        src, dst = np.divmod(keys, n)
-        indptr = np.zeros(hi - lo + 1, np.int64)
-        np.cumsum(np.bincount(src - lo, minlength=hi - lo), out=indptr[1:])
-        blocks.append(_Block(lo=lo, hi=hi, indptr=indptr, keys=keys, dst=dst))
-    return blocks
+def _read(spill, start: int, count: int) -> np.ndarray:
+    """``count`` int64 values of ``spill`` from value ``start`` on (fewer
+    at the end of the file): every read of a spill."""
+    spill.seek(8 * start)
+    return np.fromfile(spill, dtype=np.int64, count=count)
+
+
+def _csr(keys: np.ndarray, n: int, lo: int, hi: int) -> _Block:
+    """Block ``[lo, hi)`` from its sorted, deduplicated keys."""
+    src, dst = np.divmod(keys, n)
+    indptr = np.zeros(hi - lo + 1, np.int64)
+    np.cumsum(np.bincount(src - lo, minlength=hi - lo), out=indptr[1:])
+    return _Block(lo=lo, hi=hi, indptr=indptr, keys=keys, dst=dst)
+
+
+def _slots(keys: np.ndarray, bits: int) -> np.ndarray:
+    """The screen slot of each key: the top ``bits`` bits of
+    ``key × SCREEN_HASH`` mod 2^64."""
+    slots = keys.view(np.uint64) * np.uint64(SCREEN_HASH)
+    slots >>= np.uint64(64 - bits)
+    return slots
 
 
 def _close_wedges(
@@ -150,29 +176,39 @@ def _close_wedges(
 ) -> None:
     """Close every wedge ``v, w ∈ out(u)``, ``v < w``, with ``u`` in A and
     ``v`` in B, adding each triangle to its three edges' support."""
-    if not len(block_b.keys):
+    keys = block_b.keys
+    if not len(keys):
         return
+    # Every key of B sets its slot, so a wedge whose slot is clear is no
+    # key of B; a set slot only sends the wedge on to the exact search.
+    held = len(block_a.keys) + (block_b is not block_a) * len(keys)
+    bits = (SCREEN_SLOTS_PER_ENTRY * held).bit_length() - 1
+    table = np.zeros(1 << bits, bool)
+    table[_slots(keys, bits)] = True
     dst, indptr = block_a.dst, block_a.indptr
     row_end = np.repeat(indptr[1:], np.diff(indptr))
     pivots = np.flatnonzero((dst >= block_b.lo) & (dst < block_b.hi))
     # A pivot entry p pairs with the rest of its row, p + 1 .. row_end.
     fan = row_end[pivots] - pivots - 1
     pivots, fan = pivots[fan > 0], fan[fan > 0]
-    last = len(block_b.keys) - 1
+    last = len(keys) - 1
     for lo, hi in _cut(fan, chunk):
         p, f = pivots[lo:hi], fan[lo:hi]
         ends = np.cumsum(f)
         uw = np.arange(ends[-1]) + np.repeat(p + 1 - (ends - f), f)
         wedge = np.repeat(dst[p] * n, f)
         wedge += dst[uw]
-        vw = np.searchsorted(block_b.keys, wedge)
+        maybe = np.flatnonzero(table[_slots(wedge, bits)])
+        wedge = wedge[maybe]
+        vw = np.searchsorted(keys, wedge)
         np.minimum(vw, last, out=vw)
-        closed = np.flatnonzero(block_b.keys[vw] == wedge)
+        hit = keys[vw] == wedge
+        closed, vw = maybe[hit], vw[hit]
         uv = p[np.searchsorted(ends, closed, side="right")]
         support_a += np.bincount(
             np.concatenate((uv, uw[closed])), minlength=len(support_a)
         )
-        support_b += np.bincount(vw[closed], minlength=len(support_b))
+        support_b += np.bincount(vw, minlength=len(support_b))
 
 
 @dataclass(frozen=True)
@@ -182,9 +218,11 @@ class TriangleStreamResult:
     ``vertex_participation`` and ``edge_participation`` are histograms
     ``{triangles_participated_in: count}`` over all vertices (including
     isolated ones) and all distinct undirected edges respectively.
-    ``peak_entries`` is the most oriented adjacency entries held at once
-    in any pass (the deduplicated slabs of one block pair): at most
+    ``peak_entries`` is the most deduplicated oriented adjacency entries
+    one block pair held: at most
     ``max(memory_budget_entries, 2 × largest distinct out-list)``.
+    ``stream_passes`` counts the passes over every edge (see the module
+    docstring).
     """
 
     num_vertices: int
@@ -280,23 +318,29 @@ class TrianglePass:
         self._spill.close()
 
     def add(self, rows, cols) -> None:
-        """Pass 0 over one chunk: count incidence, check the endpoints and
-        spill the non-loop entries as int64 ``(row, col)`` pairs."""
+        """Pass 0 over one chunk: check every endpoint, count incidence
+        and spill the non-loop entries as int64 ``(row, col)`` pairs."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        keep = rows != cols
-        pairs = np.column_stack((rows[keep], cols[keep]))
-        if not len(pairs):
+        if not len(rows):
             return
-        if int(pairs.min()) < 0:
-            raise ValidationError(f"negative edge endpoint {int(pairs.min())}")
-        top = int(pairs.max()) + 1
-        if len(self._incidence) < top:
-            if not self._infer:
+        low = min(int(rows.min()), int(cols.min()))
+        if low < 0:
+            raise ValidationError(f"negative edge endpoint {low}")
+        if not self._infer:
+            top = max(int(rows.max()), int(cols.max())) + 1
+            if top > len(self._incidence):
                 raise ValidationError(
                     f"edge endpoint {top - 1} out of range for "
                     f"num_vertices={len(self._incidence)}"
                 )
+        keep = rows != cols
+        pairs = np.column_stack((rows[keep], cols[keep]))
+        if not len(pairs):
+            return
+        top = int(pairs.max()) + 1
+        if len(self._incidence) < top:
+            # Only an inferred count grows here, and never for a loop.
             _check_vertex_count(top)
             self._incidence = np.concatenate(
                 [self._incidence, np.zeros(top - len(self._incidence), np.int64)]
@@ -314,8 +358,7 @@ class TrianglePass:
         # A key takes half a pair's bytes, so each write lands on pairs
         # already read.
         for start in range(0, self._entries, SPILL_READ_ENTRIES):
-            spill.seek(16 * start)
-            pairs = np.fromfile(spill, dtype=np.int64, count=2 * SPILL_READ_ENTRIES)
+            pairs = _read(spill, 2 * start, 2 * SPILL_READ_ENTRIES)
             a, b = rank[pairs[0::2]], rank[pairs[1::2]]
             src = np.minimum(a, b)
             out_counts += np.bincount(src, minlength=n)
@@ -327,45 +370,73 @@ class TrianglePass:
         spill.truncate(8 * self._entries)
         return out_counts
 
-    def _read_keys(self) -> Iterator[np.ndarray]:
-        """One pass over the spilled keys, :data:`SPILL_READ_ENTRIES` at
-        a time."""
-        self._spill.seek(0)
-        for _ in range(0, self._entries, SPILL_READ_ENTRIES):
-            yield np.fromfile(self._spill, dtype=np.int64, count=SPILL_READ_ENTRIES)
+    def _copy(
+        self, ranges: Sequence[Tuple[int, int]], starts: List[int], n: int
+    ) -> None:
+        """The copy pass: every key to its block's region of a second
+        spill, which then replaces the first."""
+        keys_file, self._spill = self._spill, tempfile.TemporaryFile()
+        cursors = starts[:-1]
+        with keys_file:
+            for start in range(0, self._entries, SPILL_READ_ENTRIES):
+                keys = _read(keys_file, start, SPILL_READ_ENTRIES)
+                for i, (lo, hi) in enumerate(ranges):
+                    part = keys[(keys >= lo * n) & (keys < hi * n)]
+                    self._spill.seek(8 * cursors[i])
+                    self._spill.write(part)
+                    cursors[i] += len(part)
+
+    def _sort_regions(self, starts: List[int]) -> List[int]:
+        """The sort pass: sort and deduplicate each region in place, one
+        block at a time; returns each region's distinct key count."""
+        distinct = []
+        for start, end in zip(starts, starts[1:]):
+            keys = _read(self._spill, start, end - start)
+            keys.sort()
+            if len(keys):
+                keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            self._spill.seek(8 * start)
+            self._spill.write(keys)
+            distinct.append(len(keys))
+        return distinct
 
     def result(self) -> TriangleStreamResult:
-        """Pass 1 and the block-pair passes; the measurement."""
+        """Pass 1, the copy and sort passes and the block-pair passes;
+        the measurement."""
         order = np.argsort(self._incidence, kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
         n = len(rank)
-        # Blocks any two of which fit in the budget together.
-        ranges = _cut(self._orient(rank), max(1, self.memory_budget_entries // 2))
-        passes = 2
+        out_counts = self._orient(rank)
+        # Blocks any two of which fit in the budget together; block i's
+        # keys go to region [starts[i], starts[i + 1]) of the spill.
+        ranges = _cut(out_counts, max(1, self.memory_budget_entries // 2))
+        starts = [0]
+        for lo, hi in ranges:
+            starts.append(starts[-1] + int(out_counts[lo:hi].sum()))
+        if len(ranges) > 1:
+            self._copy(ranges, starts, n)
+        distinct = self._sort_regions(starts)
+
+        def load(idx: int) -> _Block:
+            keys = _read(self._spill, starts[idx], distinct[idx])
+            return _csr(keys, n, *ranges[idx])
 
         vertex_support = np.zeros(n, np.int64)
-        support: Dict[int, np.ndarray] = {}
+        support = {idx: np.zeros(size, np.int64) for idx, size in enumerate(distinct)}
         edge_participation: Dict[int, int] = {}
         peak = 0
         for a_idx in range(len(ranges)):
+            block_a = load(a_idx)
             for b_idx in range(a_idx, len(ranges)):
-                pair = sorted({a_idx, b_idx})
-                blocks = _load_blocks(
-                    self._read_keys(), n, [ranges[i] for i in pair]
-                )
-                passes += 1
-                held = sum(len(block.keys) for block in blocks)
+                block_b = block_a if b_idx == a_idx else load(b_idx)
+                held = len(block_a.keys) + (b_idx > a_idx) * len(block_b.keys)
                 peak = max(peak, held)
-                for idx, block in zip(pair, blocks):
-                    if idx not in support:
-                        support[idx] = np.zeros(len(block.keys), np.int64)
-                block_a = blocks[0]
                 # Wedge chunks no larger than the slabs keep the closure's
                 # scratch arrays in proportion to what the pair holds.
                 _close_wedges(
                     block_a,
-                    blocks[-1],
+                    block_b,
                     n,
                     min(self.memory_budget_entries, held),
                     support[a_idx],
@@ -393,7 +464,7 @@ class TrianglePass:
             edge_participation=dict(sorted(edge_participation.items())),
             memory_budget_entries=self.memory_budget_entries,
             num_blocks=len(ranges),
-            stream_passes=passes,
+            stream_passes=3 + (len(ranges) > 1),
             peak_entries=peak,
         )
 
@@ -418,9 +489,11 @@ def triangle_stream(
     exception), and wedges are closed at most as many at a time as a
     block pair holds entries.  The source is read once, in pass 0, and
     the later passes read the :class:`TrianglePass` spill — 16 bytes per
-    non-loop entry in the temp directory, 8 after pass 1;
-    ``stream_passes`` and ``peak_entries`` in the result record the
-    actual counts.  Shards are read through the checked reader
+    non-loop entry in the temp directory, 8 after pass 1, and 16 again
+    while the copy pass fills a second spill with each block's region;
+    a block pair reads only its two regions.  ``stream_passes`` (the
+    passes over every edge) and ``peak_entries`` in the result record
+    the actual counts.  Shards are read through the checked reader
     (:func:`repro.io.shards.read_shard`): one whose size or sha256
     disagrees with the manifest raises
     :class:`~repro.errors.ShardIntegrityError`.  Vertex counts above

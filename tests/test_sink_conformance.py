@@ -237,17 +237,26 @@ class TestByteIdentityAcrossTransports:
     def test_shard_output_byte_identical(
         self, baseline, tmp_path, transport, scheduler_name
     ):
+        from repro.parallel import verify_shards
+
         plan, base_dir = baseline
         out = tmp_path / f"net-{transport}-{scheduler_name}"
+        metrics = MetricsRegistry()
         result = execute_over_transport(
             plan,
             ShardSink(out),
             transport=transport,
             config=RunConfig(scheduler=SCHEDULERS[scheduler_name]()),
+            metrics=metrics,
         )
         assert shard_bytes(out) == shard_bytes(base_dir)
-        assert manifest_identity_fields(out) == manifest_identity_fields(base_dir)
+        manifest = "manifest.json"
+        assert (out / manifest).read_bytes() == (base_dir / manifest).read_bytes()
         assert result.sink_result.total_edges == DESIGN.num_edges
+        assert verify_shards(out).passed
+        # OPEN and FINALIZE, and at least a TILE and a COMMIT per rank.
+        frames = metrics.snapshot()["counters"]["net.frames_sent"]
+        assert frames >= 2 + 2 * plan.n_ranks
 
     def test_assembled_triples_identical(self):
         plan = make_plan(4)

@@ -13,6 +13,7 @@ its own noisy-initiator variant.
 
 import itertools
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -94,9 +95,9 @@ def brute_measured(rows, cols, n):
     }
 
 
-def largest_out_list(rows, cols, n):
-    """The largest distinct out-list once every edge points from the
-    lower to the higher vertex in (stored incidence, id) order."""
+def oriented_edges(rows, cols, n):
+    """The distinct ``(src, dst)`` rank pairs once every edge points from
+    the lower to the higher vertex in (stored incidence, id) order."""
     incidence = Counter()
     for u, v in zip(rows.tolist(), cols.tolist()):
         if u != v:
@@ -104,11 +105,16 @@ def largest_out_list(rows, cols, n):
             incidence[v] += 1
     order = sorted(range(n), key=lambda x: (incidence[x], x))
     rank = {x: i for i, x in enumerate(order)}
-    oriented = {
+    return {
         tuple(sorted((rank[u], rank[v])))
         for u, v in zip(rows.tolist(), cols.tolist())
         if u != v
     }
+
+
+def largest_out_list(rows, cols, n):
+    """The largest distinct out-list of :func:`oriented_edges`."""
+    oriented = oriented_edges(rows, cols, n)
     return max(Counter(src for src, _ in oriented).values(), default=0)
 
 
@@ -145,6 +151,43 @@ def chunked_multigraphs(draw):
     return budget, n, chunks, perm
 
 
+def assert_sweep_exact(case, infer):
+    """One case of the sweep: the oracles, the pass count, the memory
+    bound and label independence."""
+    budget, n, chunks, perm = case
+    num_vertices = None if infer else n
+    result = triangle_stream(chunks, num_vertices, memory_budget_entries=budget)
+    assert measured(result) == triangle_stream_by_id(
+        chunks, num_vertices, memory_budget_entries=budget
+    )
+    rows = np.concatenate([r for r, _ in chunks])
+    cols = np.concatenate([c for _, c in chunks])
+    assert measured(result) == brute_measured(rows, cols, result.num_vertices)
+    assert result.stream_passes == 3 + (result.num_blocks > 1)
+    assert result.peak_entries <= max(
+        budget, 2 * largest_out_list(rows, cols, result.num_vertices)
+    )
+    relabelled = [(perm[r], perm[c]) for r, c in chunks]
+    assert measured(
+        triangle_stream(relabelled, n, memory_budget_entries=budget)
+    ) == measured(triangle_stream(chunks, n, memory_budget_entries=budget))
+
+
+def one_chunk(entries):
+    rows, cols = zip(*entries)
+    return [(np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))]
+
+
+#: A triangle stored in both directions: out-lists 4, 2 and 0 at half
+#: budget 1 cut three blocks, the last with an empty region.
+TRIANGLE_BOTH_WAYS = one_chunk([(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
+
+#: A 4-clique stored one way beside an isolated vertex, which ranks
+#: first: at half budget 1 its block's region is empty, and every pair of
+#: the first row has an empty block A.
+CLIQUE_AND_ISOLATED = one_chunk(list(itertools.combinations(range(4), 2)))
+
+
 class TestExactness:
     @pytest.mark.parametrize("budget", [10**9, 64, 9, 1])
     def test_matches_brute_force_on_random_graphs(self, rng, budget):
@@ -170,29 +213,18 @@ class TestExactness:
         ),
         infer=False,
     )
+    @example(case=(1, 3, TRIANGLE_BOTH_WAYS, np.array([2, 0, 1])), infer=False)
+    @example(case=(2, 5, CLIQUE_AND_ISOLATED, np.array([4, 3, 2, 1, 0])), infer=False)
     def test_sweep_matches_oracles_under_any_labelling(self, case, infer):
-        budget, n, chunks, perm = case
-        num_vertices = None if infer else n
-        result = triangle_stream(
-            chunks, num_vertices, memory_budget_entries=budget
-        )
-        assert measured(result) == triangle_stream_by_id(
-            chunks, num_vertices, memory_budget_entries=budget
-        )
-        rows = np.concatenate([r for r, _ in chunks])
-        cols = np.concatenate([c for _, c in chunks])
-        assert measured(result) == brute_measured(
-            rows, cols, result.num_vertices
-        )
-        blocks = result.num_blocks
-        assert result.stream_passes == 2 + blocks * (blocks + 1) // 2
-        assert result.peak_entries <= max(
-            budget, 2 * largest_out_list(rows, cols, result.num_vertices)
-        )
-        relabelled = [(perm[r], perm[c]) for r, c in chunks]
-        assert measured(
-            triangle_stream(relabelled, n, memory_budget_entries=budget)
-        ) == measured(triangle_stream(chunks, n, memory_budget_entries=budget))
+        assert_sweep_exact(case, infer)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=chunked_multigraphs(), infer=st.booleans())
+    def test_sweep_exact_when_the_screen_passes_every_wedge(self, case, infer):
+        # With the multiplier 0 every key hashes to slot 0, so every
+        # wedge passes the screen and the exact compare alone decides.
+        with mock.patch.object(triangle_pass, "SCREEN_HASH", 0):
+            assert_sweep_exact(case, infer)
 
     def test_design_triangles_match_closed_form(self):
         graph = DESIGN.realize()
@@ -272,6 +304,56 @@ class TestExactness:
                 assert wedges <= cap or pivot_rows == 1
         assert max(len(chunks) for _, chunks in pairs) > 1
 
+    @pytest.mark.parametrize("budget", [2, 64])
+    def test_pair_passes_read_only_their_own_blocks(self, budget, monkeypatch):
+        # Spy on every read of a spill and on every pair's closure.  From
+        # the first pair on, each pair reads one region, the block it does
+        # not share with the pair before (A at the start of a row, else
+        # B), and nothing else; every block holds exactly its distinct
+        # oriented keys.  So no pair reads the whole spill.
+        from repro.sparse.convert import as_coo
+
+        coo = as_coo(DESIGN.realize().adjacency)
+        n = DESIGN.num_vertices
+        oriented = oriented_edges(coo.rows, coo.cols, n)
+        events = []
+        real_read, real_close = triangle_pass._read, triangle_pass._close_wedges
+
+        def read_spy(spill, start, count):
+            values = real_read(spill, start, count)
+            events.append(len(values))
+            return values
+
+        def close_spy(block_a, block_b, *args):
+            events.append((block_a, block_b))
+            real_close(block_a, block_b, *args)
+
+        monkeypatch.setattr(triangle_pass, "_read", read_spy)
+        monkeypatch.setattr(triangle_pass, "_close_wedges", close_spy)
+        result = triangle_stream(
+            [(coo.rows, coo.cols)], n, memory_budget_entries=budget
+        )
+        assert result.num_triangles == DESIGN.num_triangles
+
+        closes = [i for i, event in enumerate(events) if isinstance(event, tuple)]
+        k = result.num_blocks
+        assert k > 1 and len(closes) == k * (k + 1) // 2
+        empty = 0
+        for i, at in enumerate(closes):
+            block_a, block_b = events[at]
+            for block in (block_a, block_b):
+                want = sorted(
+                    src * n + dst
+                    for src, dst in oriented
+                    if block.lo <= src < block.hi
+                )
+                assert block.keys.tolist() == want
+                empty += not want
+            new = block_a if block_b is block_a else block_b
+            reads = events[closes[i - 1] + 1 : at] if i else events[at - 1 : at]
+            assert reads == [len(new.keys)]
+        assert empty or budget > 2
+
     def test_one_shot_generator_source_matches_oracle(self, rng):
         n = 24
         chunks = [
@@ -295,21 +377,30 @@ class TestExactness:
         assert result.num_triangles == 0
         assert result.edge_participation_fraction == 0.0
 
-    def test_out_of_range_endpoint_rejected(self):
-        rows = np.array([0, 5], dtype=np.int64)
-        cols = np.array([1, 6], dtype=np.int64)
+    @pytest.mark.parametrize("loop", [False, True], ids=["non-loop", "loop"])
+    def test_out_of_range_endpoint_rejected(self, loop):
+        rows = np.array([0, 7], dtype=np.int64)
+        cols = np.array([1, 7 if loop else 2], dtype=np.int64)
         with pytest.raises(ValidationError, match="out of range"):
-            triangle_stream([(rows, cols)], 4)
+            triangle_stream([(rows, cols)], 5)
 
     def test_bad_budget_rejected(self):
         with pytest.raises(ValidationError, match="positive"):
             triangle_stream([], 0, memory_budget_entries=0)
 
-    def test_negative_endpoint_rejected(self):
-        rows = np.array([0, -1], dtype=np.int64)
-        cols = np.array([1, 2], dtype=np.int64)
+    @pytest.mark.parametrize("loop", [False, True], ids=["non-loop", "loop"])
+    @pytest.mark.parametrize("num_vertices", [4, None])
+    def test_negative_endpoint_rejected(self, loop, num_vertices):
+        rows = np.array([0, -3], dtype=np.int64)
+        cols = np.array([1, -3 if loop else 2], dtype=np.int64)
         with pytest.raises(ValidationError, match="negative"):
-            triangle_stream([(rows, cols)], 4)
+            triangle_stream([(rows, cols)], num_vertices)
+
+    def test_loops_stay_out_of_the_inferred_vertex_count(self):
+        rows = np.array([0, 7], dtype=np.int64)
+        cols = np.array([1, 7], dtype=np.int64)
+        result = triangle_stream([(rows, cols)])
+        assert (result.num_vertices, result.num_edges) == (2, 1)
 
     def test_vertex_count_beyond_closure_key_rejected(self):
         # Refused before any O(V) array is allocated.

@@ -1,38 +1,30 @@
 #!/usr/bin/env python
 """Benchmark smoke target: ``python tools/bench_smoke.py``.
 
-Nine cheap CI guards:
+Seven cheap CI guards:
 
 1. the Fig.-3 scaling benchmark at toy scale (the metrics-snapshot test
    only), asserting a machine-readable metrics JSON was produced — the
    perf trajectory stays observable;
-2. an interrupted-then-resumed streamed run, asserting the resumed
-   shard directory is byte-identical to an uninterrupted one and passes
-   ``verify_shards`` — the durability path stays crash-safe;
-3. a tiny ``--memory-budget`` streamed run, asserting the engine
+2. a tiny ``--memory-budget`` streamed run, asserting the engine
    actually tiled (``engine.tiles`` > rank count) AND that the tiled
    output is byte-identical to the default-budget run — the
    bounded-memory path stays exact;
-4. the chunked shard reader against a per-line reference, asserting
+3. the chunked shard reader against a per-line reference, asserting
    equality and a throughput floor — the fast path stays fast;
-5. a streamed run with one injected 10× straggler rank on a 4-worker
+4. a streamed run with one injected 10× straggler rank on a 4-worker
    thread backend, run under both schedulers, asserting the work queue
    beats the static path on wall-clock, beats it on worker utilization
    (with an absolute floor), and produces byte-identical shards and
    manifest — the completion-driven path stays both faster and exact;
-6. a streamed run collected over the ``socket`` transport
-   (``repro.net``), asserting the collected shard directory — shards
-   *and* ``manifest.json`` — is byte-identical to a direct
-   ``ShardSink`` run and that frames actually crossed the wire — the
-   distributed path stays exact;
-7. the model-determinism guard: a stochastic-Kronecker (``skg``) run
+5. the model-determinism guard: a stochastic-Kronecker (``skg``) run
    executed twice with the same seed must produce byte-identical shards
    and manifest, a different seed must change the bytes, and the
    per-model edges/sec (``kron``/``skg``/``noisy-skg`` at a common toy
    scale) is appended to the recorded ``BENCH_models.json`` trajectory —
    counter-based seeding stays reproducible and the model layer's
    throughput stays observable;
-8. the catalog-cache guard: a warm ``DesignCatalog`` lookup of a
+6. the catalog-cache guard: a warm ``DesignCatalog`` lookup of a
    stochastic-model record must return the cold compute's record and
    leave its cache entry byte-identical; a corrupted (bit-flipped)
    entry must be silently recomputed — never trusted, never a crash —
@@ -41,7 +33,7 @@ Nine cheap CI guards:
    design-server latency contract stays measured (that a warm lookup
    computes nothing is asserted by
    ``tests/test_catalog_cache.py::test_warm_lookup_hits_without_recompute``);
-9. the serve-latency guard: 32 concurrent clients issuing warm
+7. the serve-latency guard: 32 concurrent clients issuing warm
    ``GET /v1/design/{digest}`` queries against an in-process
    :class:`repro.serve.DesignServer` must all be served from the
    catalog cache (zero engine executions during the measured phase)
@@ -51,9 +43,14 @@ Nine cheap CI guards:
    ``tools/bench_load.py``) — the serving layer's warm-path latency
    contract stays enforced.
 
-With ``--artifact-dir`` the tiled, straggler, and socket runs' metrics
-snapshots plus the updated ``BENCH_*.json`` trajectories are written
-there for CI to upload.  The full benchmark suite is run separately.
+Byte-identity after an interrupted-then-resumed run and over the
+socket transport are tier-1 tests
+(``tests/test_stream_resume.py::TestResume::test_interrupted_then_resumed_is_byte_identical``,
+``tests/test_sink_conformance.py::TestByteIdentityAcrossTransports::test_shard_output_byte_identical``).
+
+With ``--artifact-dir`` the tiled and straggler runs' metrics snapshots
+plus the updated ``BENCH_*.json`` trajectories are written there for CI
+to upload.  The full benchmark suite is run separately.
 """
 
 from __future__ import annotations
@@ -66,58 +63,6 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-
-
-def smoke_interrupted_resume(root: Path) -> int:
-    """Kill a streamed run mid-way, resume it, and require byte-identity
-    with an uninterrupted run plus a passing shard verification."""
-    sys.path.insert(0, str(root / "src"))
-    from repro.design import PowerLawDesign
-    from repro.engine import RunConfig
-    from repro.parallel import generate_to_disk, verify_shards
-    from repro.runtime import CrashInjector, SimulatedCrash
-
-    design = PowerLawDesign([3, 4, 5], "center")
-    n_ranks = 4
-    with tempfile.TemporaryDirectory(prefix="repro-resume-smoke-") as tmp:
-        clean, crashed = Path(tmp) / "clean", Path(tmp) / "crashed"
-        generate_to_disk(design, n_ranks, clean)
-        try:
-            generate_to_disk(
-                design, n_ranks, crashed, crash_hook=CrashInjector(2)
-            )
-        except SimulatedCrash:
-            pass
-        else:
-            print("bench-smoke: crash hook did not fire", file=sys.stderr)
-            return 1
-        summary = generate_to_disk(
-            design, n_ranks, crashed, config=RunConfig(resume=True)
-        )
-        if summary.skipped_ranks != 2:
-            print(
-                f"bench-smoke: resume reused {summary.skipped_ranks} "
-                "ranks, expected 2",
-                file=sys.stderr,
-            )
-            return 1
-        for name in [f"edges.{r}.tsv" for r in range(n_ranks)] + ["manifest.json"]:
-            if (clean / name).read_bytes() != (crashed / name).read_bytes():
-                print(f"bench-smoke: {name} differs after resume", file=sys.stderr)
-                return 1
-        verification = verify_shards(crashed)
-        if not verification.passed:
-            print(
-                f"bench-smoke: shard verification failed:\n{verification.to_text()}",
-                file=sys.stderr,
-            )
-            return 1
-    print(
-        "bench-smoke: OK — interrupted+resumed run byte-identical, "
-        "verify-shards passed",
-        file=sys.stderr,
-    )
-    return 0
 
 
 def smoke_tiled_budget(
@@ -359,75 +304,6 @@ def smoke_degree_reader(root: Path) -> int:
     print(
         f"bench-smoke: OK — chunked reader exact at {rate:,.0f} lines/s "
         f"(floor {200_000:,})",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def smoke_socket_sink(root: Path, artifact_dir: Path | None) -> int:
-    """Stream the same design directly and over a socket transport; the
-    collected directory must be byte-for-byte the direct one."""
-    sys.path.insert(0, str(root / "src"))
-    from repro.design import PowerLawDesign
-    from repro.engine import RunConfig
-    from repro.parallel import generate_to_disk, verify_shards
-    from repro.runtime import MetricsRegistry
-
-    design = PowerLawDesign([3, 4, 5], "center")
-    n_ranks = 4
-    metrics = MetricsRegistry()
-    with tempfile.TemporaryDirectory(prefix="repro-net-smoke-") as tmp:
-        direct, collected = Path(tmp) / "direct", Path(tmp) / "collected"
-        generate_to_disk(design, n_ranks, direct)
-        generate_to_disk(
-            design,
-            n_ranks,
-            collected,
-            config=RunConfig(transport="socket"),
-            metrics=metrics,
-        )
-        for name in [f"edges.{r}.tsv" for r in range(n_ranks)] + ["manifest.json"]:
-            if (direct / name).read_bytes() != (collected / name).read_bytes():
-                print(
-                    f"bench-smoke: {name} differs between direct and "
-                    "socket-collected runs",
-                    file=sys.stderr,
-                )
-                return 1
-        verification = verify_shards(collected)
-        if not verification.passed:
-            print(
-                f"bench-smoke: collected shards failed verification:\n"
-                f"{verification.to_text()}",
-                file=sys.stderr,
-            )
-            return 1
-    snapshot = metrics.snapshot()
-    frames = snapshot["counters"].get("net.frames_sent", 0)
-    sent_bytes = snapshot["counters"].get("net.bytes_sent", 0)
-    # OPEN + FINALIZE + per rank at least (TILE, COMMIT).
-    if frames < 2 + 2 * n_ranks:
-        print(
-            f"bench-smoke: only {frames} frames crossed the socket for "
-            f"{n_ranks} ranks — collection did not engage",
-            file=sys.stderr,
-        )
-        return 1
-    snapshot["run"] = {
-        "command": "bench-smoke socket-sink",
-        "transport": "socket",
-        "ranks": n_ranks,
-        "frames_sent": frames,
-        "bytes_sent": sent_bytes,
-    }
-    if artifact_dir is not None:
-        artifact_dir.mkdir(parents=True, exist_ok=True)
-        out = artifact_dir / "net_metrics.json"
-        out.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-        print(f"bench-smoke: wrote socket-sink metrics to {out}", file=sys.stderr)
-    print(
-        f"bench-smoke: OK — socket-collected run byte-identical to direct "
-        f"({frames:.0f} frames, {sent_bytes:,.0f} bytes on the wire)",
         file=sys.stderr,
     )
     return 0
@@ -805,11 +681,9 @@ def main(argv: list[str] | None = None) -> int:
                 snapshot_path.read_bytes()
             )
     for guard in (
-        lambda: smoke_interrupted_resume(root),
         lambda: smoke_tiled_budget(root, args.memory_budget, args.artifact_dir),
         lambda: smoke_degree_reader(root),
         lambda: smoke_straggler_queue(root, args.artifact_dir),
-        lambda: smoke_socket_sink(root, args.artifact_dir),
         lambda: smoke_model_determinism(root, args.artifact_dir),
         lambda: smoke_catalog_cache(root, args.artifact_dir),
         lambda: smoke_serve_latency(root, args.artifact_dir),
