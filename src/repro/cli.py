@@ -83,13 +83,6 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
         help="retry budget per rank for transient failures",
     )
     p.add_argument(
-        "--rank-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="cooperative per-rank timeout; slow attempts are retried",
-    )
-    p.add_argument(
         "--metrics-out",
         type=str,
         default=None,
@@ -520,7 +513,24 @@ def cmd_generate(args: argparse.Namespace) -> int:
     model = _resolve_cli_model(args, design)
     if args.sink in ("shards", "net") or args.stream or args.resume:
         return _cmd_generate_stream(args, design, model)
-    if args.sink == "degrees":
+    degrees = args.sink == "degrees"
+    unread = [
+        flag
+        for flag, given in (
+            ("--scramble-seed", args.scramble_seed is not None),
+            ("--out", degrees and args.out is not None),
+            ("--max-retries", degrees and args.max_retries != 0),
+            ("--metrics-out", degrees and args.metrics_out is not None),
+        )
+        if given
+    ]
+    if unread:
+        them = "them" if len(unread) > 1 else "it"
+        raise GenerationError(
+            f"--sink {args.sink} does not read {', '.join(unread)}; drop "
+            f"{them}, or stream with --sink shards or --sink net, which read {them}"
+        )
+    if degrees:
         return _cmd_generate_degrees(args, design, model)
     if model is not None:
         raise GenerationError(
@@ -539,7 +549,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         backend=_resolve_cli_backend(args),
         scheduler=_resolve_scheduler(args),
         max_retries=args.max_retries,
-        rank_timeout_s=args.rank_timeout,
         metrics=metrics,
         events=progress.events(),
     )
@@ -687,7 +696,6 @@ def cmd_scale(args: argparse.Namespace) -> int:
         args.ranks,
         config=_run_config_from_args(args),
         max_retries=args.max_retries,
-        rank_timeout_s=args.rank_timeout,
         metrics=metrics,
     )
     print(study.to_text())

@@ -12,7 +12,7 @@ of the whole rank block.
 
 :func:`execute` drives the whole run through one completion-driven
 loop: tasks stream through :meth:`~repro.runtime.RankExecutor.run_iter`
-(retry/backoff/timeout/online straggler accounting come for free) in
+(retry/backoff/reassignment/online straggler accounting come for free) in
 the scheduler's submission order, at most the scheduler's
 ``max_in_flight`` at a time, and land in whatever order workers finish.
 A **reorder buffer** holds completed-but-not-yet-committable outcomes
@@ -240,7 +240,6 @@ def execute(
     tracer: Tracer | None = None,
     events: RankEvents | None = None,
     max_retries: int = 0,
-    rank_timeout_s: float | None = None,
     failure_injector: Callable[[int, int], None] | None = None,
 ) -> EngineResult:
     """Run ``plan`` through ``sink`` — the one generation loop.
@@ -249,7 +248,7 @@ def execute(
     ``execute`` honours its ``backend`` and ``scheduler`` fields; the
     remaining fields belong to the higher-level drivers and raise here.
 
-    ``executor`` overrides the backend/retry/timeout arguments when
+    ``executor`` overrides the backend and retry arguments when
     given; the scheduler defaults to ascending-rank submission with a
     backend-sized window (:class:`~repro.engine.scheduler.StaticScheduler`).
     Commit order — and therefore all sink output — is the same under
@@ -281,7 +280,6 @@ def execute(
         executor = RankExecutor(
             resolve_backend(cfg.backend),
             max_retries=max_retries,
-            rank_timeout_s=rank_timeout_s,
             metrics=metrics,
             tracer=tracer,
             events=events,

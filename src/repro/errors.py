@@ -46,7 +46,7 @@ class RankExecutionError(GenerationError):
 
 
 class TransientRankError(RankExecutionError):
-    """A retryable rank failure (flaky I/O, injected fault, timeout...).
+    """A retryable rank failure (flaky I/O, injected fault...).
 
     The :class:`~repro.runtime.RankExecutor` retries these with backoff
     up to its ``max_retries`` budget.
@@ -55,10 +55,6 @@ class TransientRankError(RankExecutionError):
 
 class FatalRankError(RankExecutionError):
     """A non-retryable rank failure; the executor aborts immediately."""
-
-
-class RankTimeoutError(TransientRankError):
-    """A rank exceeded its per-rank timeout (cooperative, post-hoc)."""
 
 
 class RetryExhaustedError(RankExecutionError):

@@ -16,10 +16,8 @@ factored into three layers so each is testable alone:
 ``generate_to_disk(..., config=RunConfig(transport="socket"))`` and the
 CLI's
 ``--sink net --transport ...`` ride on :func:`execute_over_transport`.
-:class:`~repro.net.chaos.FaultyTransport` is the test adversary.
 """
 
-from repro.net.chaos import FaultyTransport, flip_bit
 from repro.net.codec import (
     CODEC_VERSION,
     FRAME_ABORT,
@@ -70,7 +68,6 @@ __all__ = [
     "FRAME_RESULT",
     "FRAME_SKIP",
     "FRAME_TILE",
-    "FaultyTransport",
     "Frame",
     "HEADER_BYTES",
     "InProcessTransport",
@@ -89,7 +86,6 @@ __all__ = [
     "encode_result_doc",
     "encode_tile_payload",
     "execute_over_transport",
-    "flip_bit",
     "list_transports",
     "local_pair",
 ]

@@ -490,7 +490,6 @@ def execute_over_transport(
     tracer: Optional[Tracer] = None,
     events: "Optional[RankEvents]" = None,
     max_retries: int = 0,
-    rank_timeout_s: Optional[float] = None,
     failure_injector=None,
     recv_timeout_s: float = DEFAULT_RECV_TIMEOUT_S,
 ) -> EngineResult:
@@ -531,7 +530,6 @@ def execute_over_transport(
             tracer=tracer,
             events=events,
             max_retries=max_retries,
-            rank_timeout_s=rank_timeout_s,
             failure_injector=failure_injector,
         )
     except BaseException as engine_exc:

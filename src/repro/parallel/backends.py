@@ -1,14 +1,11 @@
 """Execution backends for the simulated ranks.
 
-A backend maps a per-rank work function over rank inputs; the formal
-contract is :class:`repro.typing.Backend` (``name`` + ``map(fn, items)``
-plus an optional ``shutdown()``).  All three shipped backends also
-satisfy :class:`repro.typing.StreamingBackend` — ``submit(fn, item)``
-returning a handle plus ``as_completed(handles)`` yielding handles in
-completion order — which is what the engine's completion-driven
-work-queue path runs on.  ``map`` is *derived* from ``submit`` where
-that costs nothing (serial, thread), so the two surfaces can never
-disagree.  Three implementations ship:
+A backend runs a per-rank work function on rank inputs; the formal
+contract is :class:`repro.typing.Backend` — ``name``, ``submit(fn,
+item)`` returning a handle, ``as_completed(handles)`` yielding handles
+in completion order, and an optional ``shutdown()`` — which is what
+the engine's completion-driven work-queue path runs on.  Three
+implementations ship:
 
 * :class:`SerialBackend` — ranks one after another in-process
   (deterministic, zero overhead — the default for validation);
@@ -59,9 +56,9 @@ def backend_worker_count(backend: Backend) -> int:
 class _ImmediateHandle:
     """Handle for work executed eagerly at submit time (serial path).
 
-    A map-only or serial backend has no worker to defer to, so
-    ``submit`` runs the item in the caller and the handle just replays
-    the captured value or exception.
+    The serial backend has no worker to defer to, so ``submit`` runs the
+    item in the caller and the handle just replays the captured value or
+    exception.
     """
 
     __slots__ = ("_value", "_error")
@@ -106,10 +103,6 @@ class SerialBackend:
     ) -> Iterator[WorkHandle]:
         return iter(handles)
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        # Derived from submit: the two surfaces cannot diverge.
-        return [self.submit(fn, item).result() for item in items]
-
 
 class ThreadBackend:
     """Run ranks in a thread pool.
@@ -143,12 +136,6 @@ class ThreadBackend:
     ) -> Iterator[WorkHandle]:
         return _futures_as_completed(handles)
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        # Derived from submit (submit everything, collect in order) so
-        # the two surfaces share one pool and cannot diverge.
-        handles = [self.submit(fn, item) for item in items]
-        return [h.result() for h in handles]
-
     def shutdown(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
@@ -175,11 +162,9 @@ class MultiprocessingBackend:
     defaults to :func:`default_start_method` — ``fork`` where available,
     falling back to ``spawn`` on platforms without it.
 
-    ``map`` keeps its historical pool-per-call shape (sized to the work
-    list, torn down afterwards — no pool ever leaks); ``submit`` /
-    ``as_completed`` need workers that outlive a single call, so they
-    lazily start a persistent :class:`~concurrent.futures.ProcessPoolExecutor`
-    that is released by ``shutdown()``.
+    ``submit`` lazily starts a persistent
+    :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
+    outlive a single call; ``shutdown()`` releases it.
 
     The backend advertises the ``zero_copy_tiles`` capability: for
     triples-payload sinks the engine moves tiles through a
@@ -246,20 +231,6 @@ class MultiprocessingBackend:
     ) -> Iterator[WorkHandle]:
         return _futures_as_completed(handles)
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        import multiprocessing as mp
-
-        items = list(items)
-        if not items:
-            return []
-        # A pool larger than the work list is wasted fork/spawn cost.
-        procs = min(self.processes, len(items))
-        try:
-            with mp.get_context(self.start_method).Pool(processes=procs) as pool:
-                return pool.map(fn, items)
-        except (OSError, ValueError) as exc:  # pragma: no cover - env specific
-            raise GenerationError(f"multiprocessing backend failed: {exc}") from exc
-
     def shutdown(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
@@ -324,7 +295,8 @@ def resolve_backend(backend: BackendLike) -> Backend:
 
     ``None`` means the default :class:`SerialBackend`; a string is looked
     up in the registry; anything satisfying the :class:`~repro.typing.Backend`
-    protocol passes through unchanged.
+    protocol (``submit`` and ``as_completed``) passes through unchanged.
+    Anything else — a map-only object included — is refused.
     """
     if backend is None:
         return SerialBackend()

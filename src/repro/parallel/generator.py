@@ -81,9 +81,9 @@ class ParallelKroneckerGenerator:
     split_index:
         Optional explicit B/C split; otherwise
         :func:`~repro.parallel.partition.choose_split` decides.
-    max_retries / rank_timeout_s:
-        Fault-tolerance budget forwarded to the
-        :class:`~repro.runtime.RankExecutor` (0 / None = fail fast, the
+    max_retries:
+        Retry budget forwarded to the
+        :class:`~repro.runtime.RankExecutor` (0 = fail fast, the
         historical behaviour).
     metrics / tracer / events:
         Observability hooks; per-rank durations, retries, and stragglers
@@ -107,7 +107,6 @@ class ParallelKroneckerGenerator:
         backend: BackendLike = None,
         split_index: int | None = None,
         max_retries: int = 0,
-        rank_timeout_s: float | None = None,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         events: RankEvents | None = None,
@@ -126,7 +125,6 @@ class ParallelKroneckerGenerator:
         self.executor = executor or RankExecutor(
             self.backend,
             max_retries=max_retries,
-            rank_timeout_s=rank_timeout_s,
             metrics=metrics,
             tracer=tracer,
             events=events,
@@ -255,7 +253,6 @@ def generate_design_parallel(
     *,
     config: RunConfig | None = None,
     max_retries: int = 0,
-    rank_timeout_s: float | None = None,
     metrics: MetricsRegistry | None = None,
     events: RankEvents | None = None,
 ) -> Graph:
@@ -317,7 +314,6 @@ def generate_design_parallel(
         cluster,
         backend=cfg.backend,
         max_retries=max_retries,
-        rank_timeout_s=rank_timeout_s,
         metrics=metrics,
         events=events,
         scheduler=cfg.scheduler,

@@ -19,14 +19,12 @@ Every figure produced from this module is labelled simulated.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from repro.engine.config import RunConfig, resolve_run_config
 from repro.errors import GenerationError
 from repro.kron.chain import KroneckerChain
-from repro.kron.sparse_kron import kron
 from repro.parallel.backends import BackendLike
 from repro.parallel.generator import ParallelKroneckerGenerator
 from repro.parallel.machine import VirtualCluster
@@ -92,7 +90,6 @@ def measure_rank_rate(
     backend: BackendLike = None,
     scheduler=None,
     max_retries: int = 0,
-    rank_timeout_s: float | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> ScalingPoint:
     """Generate ``chain`` on ``cluster`` and time every rank's kernel."""
@@ -102,7 +99,6 @@ def measure_rank_rate(
         backend=backend,
         scheduler=scheduler,
         max_retries=max_retries,
-        rank_timeout_s=rank_timeout_s,
         metrics=metrics,
     )
     blocks = gen.generate_blocks()
@@ -124,7 +120,6 @@ def run_scaling_study(
     *,
     config: RunConfig | None = None,
     max_retries: int = 0,
-    rank_timeout_s: float | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> ScalingStudy:
     """Sweep ``rank_counts`` and collect the scaling curve for ``chain``.
@@ -154,7 +149,6 @@ def run_scaling_study(
                 backend=cfg.backend,
                 scheduler=cfg.scheduler,
                 max_retries=max_retries,
-                rank_timeout_s=rank_timeout_s,
                 metrics=metrics,
             )
         )
@@ -173,12 +167,3 @@ def extrapolate_rate(
         raise GenerationError("per-rank time must be positive")
     return n_ranks * per_rank_edges / per_rank_seconds
 
-
-def time_single_rank_kernel(b_local, c, *, repeats: int = 3) -> float:
-    """Best-of-N timing of one ``Bp ⊗ C`` kernel invocation (seconds)."""
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        kron(b_local, c)
-        best = min(best, time.perf_counter() - t0)
-    return best

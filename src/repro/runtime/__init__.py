@@ -8,10 +8,10 @@ is the execution/observability layer the rest of the system plugs into:
   with JSON snapshots (zero hard dependencies);
 * :mod:`repro.runtime.tracing` — nestable span contexts with a pluggable
   sink (in-memory ring buffer by default);
-* :mod:`repro.runtime.executor` — :class:`RankExecutor`: per-rank
-  timeout, bounded retry with exponential backoff + jitter, transient vs
-  fatal failure classification, straggler detection, all on the one
-  completion-streaming surface ``run_iter``;
+* :mod:`repro.runtime.executor` — :class:`RankExecutor`: bounded retry
+  with exponential backoff + jitter, transient vs fatal failure
+  classification, reassignment of a lost worker's task, straggler
+  detection, all on the one completion-streaming surface ``run_iter``;
 * :mod:`repro.runtime.events` — progress callbacks the CLI consumes for
   live per-rank output;
 * :mod:`repro.runtime.checkpoint` — the durability layer: atomic
@@ -47,7 +47,6 @@ from repro.runtime.executor import (
     RankExecutor,
     RankReport,
     TaskCompletion,
-    as_streaming,
 )
 from repro.runtime.metrics import (
     DEFAULT_BUCKETS,
@@ -102,7 +101,6 @@ __all__ = [
     "RankReport",
     "RankAttempt",
     "TaskCompletion",
-    "as_streaming",
     "FailureInjector",
     "RankEvents",
     "ConsoleProgress",

@@ -10,11 +10,6 @@ rank is an independently retryable, measurable unit of work.
   aborts immediately; every other exception is treated as transient
   (the optimistic default: a rank that failed on one node may succeed
   on the next try);
-* **cooperative per-rank timeout** — synchronous backends cannot
-  preempt a worker, so an attempt whose measured elapsed exceeds
-  ``rank_timeout_s`` is *classified* as a
-  :class:`~repro.errors.RankTimeoutError` (its result is discarded and
-  the rank is retried);
 * **straggler detection** — a rank slower than ``straggler_factor`` ×
   the running median of earlier successes is reported as it completes;
 * **observability** — per-rank durations land in a
@@ -44,14 +39,13 @@ from concurrent.futures import BrokenExecutor
 from repro.errors import (
     FatalRankError,
     GenerationError,
-    RankTimeoutError,
     RetryExhaustedError,
     TransientRankError,
 )
 from repro.runtime.events import RankEvents
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.tracing import Span, Tracer
-from repro.typing import Backend, StreamingBackend
+from repro.typing import Backend
 
 
 class FailureInjector:
@@ -104,7 +98,7 @@ class _Outcome:
     ok: bool
     value: object
     elapsed_s: float
-    error_kind: str = ""  # "transient" | "fatal" | "timeout"
+    error_kind: str = ""  # "transient" | "fatal"
     error_text: str = ""
 
 
@@ -139,66 +133,6 @@ def _guarded_call(task: _Task) -> _Outcome:
     return _Outcome(
         rank=task.rank, ok=True, value=value, elapsed_s=task.clock() - t0
     )
-
-
-class _CompletedHandle:
-    """Handle over a value (or error) that is already known."""
-
-    __slots__ = ("_value", "_error")
-
-    def __init__(
-        self, value: object = None, error: BaseException | None = None
-    ) -> None:
-        self._value = value
-        self._error = error
-
-    def result(self) -> object:
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
-class _MapStreamingAdapter:
-    """Present a map-only :class:`~repro.typing.Backend` as streaming.
-
-    ``submit`` pushes the single item through the backend's own ``map``
-    eagerly, so nothing actually overlaps — but a third-party backend
-    that only implements ``map`` still runs correctly (if serially)
-    under the completion-driven execution path.  This adapter lives in
-    :mod:`repro.runtime` (not :mod:`repro.parallel`) because the
-    executor must not import the higher backend layer.
-    """
-
-    def __init__(self, backend: Backend) -> None:
-        self._backend = backend
-        self.name = backend.name
-
-    def map(self, fn: Callable, items: Sequence) -> List:
-        return self._backend.map(fn, items)
-
-    def submit(self, fn: Callable, item: object) -> _CompletedHandle:
-        try:
-            return _CompletedHandle(value=self._backend.map(fn, [item])[0])
-        except BaseException as exc:
-            return _CompletedHandle(error=exc)
-
-    def as_completed(self, handles: Sequence) -> Iterator:
-        return iter(handles)
-
-    def shutdown(self) -> None:
-        getattr(self._backend, "shutdown", lambda: None)()
-
-
-def as_streaming(backend: Backend) -> StreamingBackend:
-    """Return ``backend`` if it already streams, else wrap it.
-
-    The wrapper (:class:`_MapStreamingAdapter`) derives ``submit`` /
-    ``as_completed`` from ``map`` — correct for any conforming backend,
-    with no concurrency of its own.
-    """
-    if isinstance(backend, StreamingBackend):
-        return backend
-    return _MapStreamingAdapter(backend)
 
 
 @dataclass(frozen=True)
@@ -287,7 +221,7 @@ class TaskCompletion:
 
 
 class RankExecutor:
-    """Runs rank work on a backend with retry, timeout, and accounting.
+    """Runs rank work on a backend with retry, reassignment, and accounting.
 
     Parameters
     ----------
@@ -295,8 +229,6 @@ class RankExecutor:
         Any :class:`~repro.typing.Backend`.
     max_retries:
         Extra attempts allowed per rank after the first (0 = fail fast).
-    rank_timeout_s:
-        Cooperative per-rank timeout; ``None`` disables it.
     straggler_factor:
         A rank slower than this multiple of the running median of
         earlier successes is flagged (and reported via
@@ -324,7 +256,6 @@ class RankExecutor:
         *,
         max_retries: int = 0,
         max_reassignments: int = 8,
-        rank_timeout_s: float | None = None,
         straggler_factor: float = 3.0,
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 2.0,
@@ -342,14 +273,9 @@ class RankExecutor:
             raise TransientRankError(
                 f"max_reassignments must be >= 0, got {max_reassignments}"
             )
-        if rank_timeout_s is not None and rank_timeout_s <= 0:
-            raise TransientRankError(
-                f"rank_timeout_s must be positive, got {rank_timeout_s}"
-            )
         self.backend = backend
         self.max_retries = max_retries
         self.max_reassignments = max_reassignments
-        self.rank_timeout_s = rank_timeout_s
         self.straggler_factor = straggler_factor
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
@@ -366,26 +292,6 @@ class RankExecutor:
         """Delay before retry number ``attempt + 1`` (attempt is 0-based)."""
         base = min(self.backoff_cap_s, self.backoff_base_s * (2**attempt))
         return base * (1.0 + self.jitter * self._rng.random())
-
-    def _classify(self, outcome: _Outcome) -> _Outcome:
-        """Apply the cooperative timeout on top of the worker's verdict."""
-        if (
-            outcome.ok
-            and self.rank_timeout_s is not None
-            and outcome.elapsed_s > self.rank_timeout_s
-        ):
-            return _Outcome(
-                rank=outcome.rank,
-                ok=False,
-                value=None,
-                elapsed_s=outcome.elapsed_s,
-                error_kind="timeout",
-                error_text=(
-                    f"RankTimeoutError: rank {outcome.rank} took "
-                    f"{outcome.elapsed_s:.4f}s > timeout {self.rank_timeout_s}s"
-                ),
-            )
-        return outcome
 
     # -- execution -----------------------------------------------------------
     def run_iter(
@@ -435,9 +341,6 @@ class RankExecutor:
         reports, error messages and the ``injector(rank, attempt)`` call
         all use it, so they name the right rank whatever order the items
         were submitted in.
-
-        Map-only backends are adapted via :func:`as_streaming` (they run
-        correctly but without overlap).
         """
         items = list(items)
         n = len(items)
@@ -455,7 +358,6 @@ class RankExecutor:
         reports = [RankReport(rank=r) for r in ranks]
         if self.metrics is not None:
             self.metrics.gauge("ranks.total").set(n)
-        backend = as_streaming(self.backend)
         pending: List[int] = list(range(n))
         attempts: Dict[int, int] = {i: 0 for i in range(n)}
         reassignments: Dict[int, int] = {i: 0 for i in range(n)}
@@ -476,7 +378,7 @@ class RankExecutor:
                         "task": idx,
                         "rank": ranks[idx],
                         "attempt": attempt,
-                        "backend": backend.name,
+                        "backend": self.backend.name,
                     },
                     parent="executor.run_iter",
                     depth=1,
@@ -489,7 +391,7 @@ class RankExecutor:
                 clock=self._clock,
                 injector=injector,
             )
-            in_flight[backend.submit(_guarded_call, task)] = idx
+            in_flight[self.backend.submit(_guarded_call, task)] = idx
 
         def fill() -> None:
             while pending and len(in_flight) < limit:
@@ -512,7 +414,7 @@ class RankExecutor:
             run_span = Span(
                 name="executor.run_iter",
                 start_s=self._clock(),
-                attributes={"ranks": n, "backend": backend.name},
+                attributes={"ranks": n, "backend": self.backend.name},
             )
         try:
             completed = 0
@@ -524,11 +426,11 @@ class RankExecutor:
                         f"flight but {len(pending)} task(s) unsubmitted"
                     )
                 depth = len(in_flight)
-                handle = next(iter(backend.as_completed(list(in_flight))))
+                handle = next(iter(self.backend.as_completed(list(in_flight))))
                 idx = in_flight.pop(handle)
                 attempt = attempts[idx]
                 try:
-                    raw = handle.result()
+                    outcome: _Outcome = handle.result()
                 except BrokenExecutor as exc:
                     # The worker running this task vanished (a dead pool
                     # process).  That is a statement about the *worker*,
@@ -557,7 +459,6 @@ class RankExecutor:
                     self.events.reassigned(ranks[idx], attempt, exc)
                     submit(idx)
                     continue
-                outcome = self._classify(raw)
                 span = spans.pop(idx, None)
                 if span is not None:
                     span.end_s = self._clock()
@@ -617,15 +518,10 @@ class RankExecutor:
                     )
                 if self.metrics is not None:
                     self.metrics.counter("ranks.retried").inc()
-                    if outcome.error_kind == "timeout":
-                        self.metrics.counter("ranks.timeout").inc()
                 delay = self.backoff_delay(attempt)
-                error: TransientRankError = (
-                    RankTimeoutError(outcome.error_text)
-                    if outcome.error_kind == "timeout"
-                    else TransientRankError(outcome.error_text)
+                self.events.retry(
+                    ranks[idx], attempt, delay, TransientRankError(outcome.error_text)
                 )
-                self.events.retry(ranks[idx], attempt, delay, error)
                 self._sleep(delay)
                 attempts[idx] = attempt + 1
                 submit(idx)

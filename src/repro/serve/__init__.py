@@ -1,4 +1,4 @@
-"""Graph-as-a-service: the async design/tile server and its clients.
+"""Graph-as-a-service: the async design/tile server and its client.
 
 The catalog (:mod:`repro.catalog`) made design properties a
 content-addressed lookup; :mod:`repro.serve` puts that lookup — and
@@ -10,8 +10,8 @@ HTTP:
   health and metrics), with single-flight cold computes, bounded
   concurrency, per-request deadlines, and streamed
   :mod:`repro.net`-framed tiles;
-* :class:`ServeClient` / :class:`AsyncServeClient` — clients that
-  reassemble a served tile stream byte-identically to a local
+* :class:`ServeClient` — the keep-alive client that reassembles a
+  served tile stream byte-identically to a local
   :func:`repro.engine.execute` run, enforcing the stream protocol via
   :class:`TileStream`;
 * :func:`start_in_thread` — a daemon-thread server for tests and the
@@ -28,7 +28,7 @@ from repro.serve.app import (
     design_spec_from_doc,
     start_in_thread,
 )
-from repro.serve.client import AsyncServeClient, DesignReply, ServeClient
+from repro.serve.client import DesignReply, ServeClient
 from repro.serve.stream import (
     FrameAssembler,
     TileStream,
@@ -37,7 +37,6 @@ from repro.serve.stream import (
 )
 
 __all__ = [
-    "AsyncServeClient",
     "DesignReply",
     "DesignServer",
     "FrameAssembler",

@@ -1,9 +1,9 @@
-"""Frame-level fault injection for transport chaos tests.
+"""Frame-level fault injection for the transport chaos tests.
 
 :class:`FaultyTransport` wraps any real transport endpoint and corrupts
 the *send* side deterministically, by frame index — the network
 adversary counterpart of
-:class:`~repro.runtime.failures.FailureInjector` (worker faults) and
+:class:`~repro.runtime.FailureInjector` (worker faults) and
 :class:`~repro.runtime.checkpoint.CrashInjector` (process death).
 Faults are keyed by the 0-based index of the frame in send order, so a
 test can aim at exactly the OPEN, a specific TILE, or the COMMIT of a
@@ -115,5 +115,3 @@ class FaultyTransport:
         self._held = None
         self.inner.close()
 
-
-__all__ = ["FaultyTransport", "flip_bit"]

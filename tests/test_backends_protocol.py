@@ -16,7 +16,7 @@ from repro.parallel import (
     make_backend,
     resolve_backend,
 )
-from repro.typing import Backend, StreamingBackend
+from repro.typing import Backend
 
 ALL_BACKENDS = [SerialBackend, ThreadBackend, MultiprocessingBackend]
 
@@ -27,6 +27,15 @@ def _square(x):
 
 def _boom(x):
     raise ValueError(f"boom on {x}")
+
+
+class MapOnly:
+    """An object with ``map`` but no ``submit``: not a backend."""
+
+    name = "map-only"
+
+    def map(self, fn, items):
+        return [fn(i) for i in items]
 
 
 @pytest.fixture(params=ALL_BACKENDS, ids=lambda cls: cls.name)
@@ -43,21 +52,15 @@ class TestProtocolConformance:
     def test_has_registry_name(self, backend):
         assert backend.name in list_backends()
 
-    def test_map_preserves_order(self, backend):
-        assert backend.map(_square, [3, 1, 2]) == [9, 1, 4]
-
-    def test_map_empty(self, backend):
-        assert backend.map(_square, []) == []
-
-    def test_map_accepts_any_sequence(self, backend):
-        assert backend.map(_square, (2, 4)) == [4, 16]
-
 
 class TestStreamingConformance:
     """The submit/as_completed surface every shipped backend carries."""
 
     def test_satisfies_streaming_protocol(self, backend):
-        assert isinstance(backend, StreamingBackend)
+        # submit/as_completed is the one surface; no backend carries a
+        # second, map-shaped one beside it.
+        assert callable(backend.submit) and callable(backend.as_completed)
+        assert not hasattr(backend, "map")
 
     def test_submit_result_round_trip(self, backend):
         assert backend.submit(_square, 7).result() == 49
@@ -72,12 +75,6 @@ class TestStreamingConformance:
         done = list(backend.as_completed(handles))
         assert sorted(h.result() for h in done) == [0, 1, 4, 9, 16]
         assert len(done) == len(handles)
-
-    def test_map_agrees_with_submit(self, backend):
-        items = [3, 1, 4, 1, 5]
-        via_map = backend.map(_square, items)
-        via_submit = [backend.submit(_square, i).result() for i in items]
-        assert via_map == via_submit
 
     def test_worker_count_positive(self, backend):
         assert backend_worker_count(backend) >= 1
@@ -94,12 +91,6 @@ class TestBackendWorkerCount:
         assert backend_worker_count(MultiprocessingBackend(processes=2)) == 2
 
     def test_unknown_backend_defaults_to_one(self):
-        class MapOnly:
-            name = "map-only"
-
-            def map(self, fn, items):
-                return [fn(i) for i in items]
-
         assert backend_worker_count(MapOnly()) == 1
 
 
@@ -138,6 +129,13 @@ class TestRegistry:
         with pytest.raises(GenerationError):
             resolve_backend(42)
 
+    def test_resolve_rejects_map_only_backend(self):
+        # One execution surface: an object with only ``map`` is not a
+        # backend, and nothing adapts it.
+        assert not isinstance(MapOnly(), Backend)
+        with pytest.raises(GenerationError, match="Backend instance"):
+            resolve_backend(MapOnly())
+
 
 class TestMultiprocessingStartMethod:
     def test_default_method_is_available_on_platform(self):
@@ -155,8 +153,12 @@ class TestMultiprocessingStartMethod:
         if method not in mp.get_all_start_methods():
             pytest.skip(f"start method {method!r} unavailable on this platform")
         backend = MultiprocessingBackend(processes=2, start_method=method)
-        assert backend.start_method == method
-        assert backend.map(_square, [3, 1, 2]) == [9, 1, 4]
+        try:
+            assert backend.start_method == method
+            handles = [backend.submit(_square, x) for x in (3, 1, 2)]
+            assert [h.result() for h in handles] == [9, 1, 4]
+        finally:
+            backend.shutdown()
 
 
 class TestMultiprocessingSubmit:
@@ -169,18 +171,13 @@ class TestMultiprocessingSubmit:
             backend.shutdown()
         assert backend._executor is None
 
-    def test_map_does_not_start_persistent_executor(self):
-        backend = MultiprocessingBackend(processes=2)
-        assert backend.map(_square, [2, 3]) == [4, 9]
-        assert backend._executor is None
-
 
 class TestThreadBackend:
     def test_pool_reused_until_shutdown(self):
         backend = ThreadBackend(max_workers=2)
-        backend.map(_square, [1, 2])
+        assert backend.submit(_square, 2).result() == 4
         pool = backend._pool
-        backend.map(_square, [3])
+        assert backend.submit(_square, 3).result() == 9
         assert backend._pool is pool
         backend.shutdown()
         assert backend._pool is None

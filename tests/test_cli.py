@@ -167,6 +167,40 @@ class TestGenerateCommand:
         assert exc.value.code == 2
         assert "invalid choice: 'elastic'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["generate", "scale"])
+    def test_rank_timeout_flag_rejected(self, command, capsys):
+        # A timeout read after a rank finished could only discard its
+        # bytes, so no flag asks for one.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "3", "4", "5", "--rank-timeout", "1"])
+        assert exc.value.code == 2
+        assert "--rank-timeout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sink, flag, value",
+        [
+            ("degrees", "--max-retries", "3"),
+            ("degrees", "--metrics-out", "m.json"),
+            ("degrees", "--out", "shards"),
+            ("degrees", "--scramble-seed", "5"),
+            ("assemble", "--scramble-seed", "5"),
+        ],
+    )
+    def test_flag_the_path_does_not_read_refused(
+        self, sink, flag, value, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = [
+            "generate", "3", "4", "5", "--self-loop", "center",
+            "--ranks", "2", "--sink", sink, flag, value,
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert f"--sink {sink}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []  # nothing written
+
 
 class TestValidateCommand:
     def test_passing_validation(self, capsys):

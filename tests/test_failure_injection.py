@@ -283,7 +283,8 @@ class TestTransportChaos:
 
     def _run_with_faults(self, tmp_path, **fault_kwargs):
         from repro.engine import ShardSink, plan_from_design
-        from repro.net import FaultyTransport, InProcessTransport, execute_over_transport
+        from repro.net import InProcessTransport, execute_over_transport
+        from tests.chaos import FaultyTransport
 
         plan = plan_from_design(DESIGN, self.N_RANKS)
         producer, collector_end = InProcessTransport.pair()

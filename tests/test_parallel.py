@@ -10,13 +10,13 @@ from repro.kron import KroneckerChain
 from repro.parallel import (
     MultiprocessingBackend,
     ParallelKroneckerGenerator,
-    SerialBackend,
     VirtualCluster,
     choose_split,
     partition_bc,
 )
 from repro.parallel.generator import generate_design_parallel
 from repro.parallel.partition import partition_b_triples
+from repro.runtime import RankExecutor
 from repro.validate import audit_partition
 
 
@@ -196,15 +196,11 @@ class TestGenerator:
 
 
 class TestBackends:
-    def test_serial_map(self):
-        assert SerialBackend().map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-
-    def test_multiprocessing_map(self):
-        backend = MultiprocessingBackend(processes=2)
-        assert backend.map(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
-
     def test_multiprocessing_empty(self):
-        assert MultiprocessingBackend(processes=2).map(_square, []) == []
+        # No work submits nothing, so no worker process is started.
+        backend = MultiprocessingBackend(processes=2)
+        assert list(RankExecutor(backend).run_iter(_square, [])) == []
+        assert backend._executor is None
 
     def test_multiprocessing_generator_end_to_end(self):
         chain = chain345()

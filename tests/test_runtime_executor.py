@@ -167,45 +167,6 @@ class TestRetry:
             RankExecutor(SerialBackend(), max_retries=-1)
 
 
-class TestTimeout:
-    def test_slow_rank_classified_as_timeout_and_retried(self):
-        executor, clock, _ = make_executor(max_retries=1, rank_timeout_s=5.0)
-        durations = iter([10.0, 1.0])  # first attempt too slow, retry fast
-
-        def work(x):
-            clock.advance(next(durations))
-            return x
-
-        values, result = run_all(executor, work, ["ok"])
-        assert values == ["ok"]
-        first, second = result.reports[0].attempts
-        assert not first.ok and "RankTimeoutError" in first.error
-        assert second.ok and second.elapsed_s == pytest.approx(1.0)
-
-    def test_timeout_exhausts_budget(self):
-        executor, clock, _ = make_executor(max_retries=1, rank_timeout_s=1.0)
-
-        def slow(x):
-            clock.advance(2.0)
-            return x
-
-        with pytest.raises(RetryExhaustedError):
-            run_all(executor, slow, [1])
-
-    def test_no_timeout_by_default(self):
-        executor, clock, _ = make_executor()
-
-        def slow(x):
-            clock.advance(1e6)
-            return x
-
-        assert run_all(executor, slow, [1])[0] == [1]
-
-    def test_invalid_timeout_rejected(self):
-        with pytest.raises(TransientRankError):
-            RankExecutor(SerialBackend(), rank_timeout_s=0.0)
-
-
 class TestStragglers:
     def _run_with_durations(self, durations, **kwargs):
         executor, clock, _ = make_executor(**kwargs)
@@ -340,19 +301,6 @@ class TestRunIter:
         with pytest.raises(RetryExhaustedError, match="retry budget 2 exhausted"):
             self._collect(executor, lambda x: x, [1], injector=injector)
 
-    def test_timeout_classified_and_retried(self):
-        executor, clock, _ = make_executor(max_retries=1, rank_timeout_s=5.0)
-        durations = iter([10.0, 1.0])
-
-        def work(x):
-            clock.advance(next(durations))
-            return x
-
-        done = self._collect(executor, work, ["ok"])
-        first, second = done[0].report.attempts
-        assert not first.ok and "RankTimeoutError" in first.error
-        assert second.ok
-
     def test_online_straggler_flagged_against_running_median(self):
         executor, clock, _ = make_executor(straggler_factor=3.0)
 
@@ -432,24 +380,6 @@ class TestRunIter:
         assert {s.attributes["task"] for s in task_spans} == {0, 1}
         assert all(s.attributes["ok"] for s in task_spans)
 
-    def test_map_only_backend_adapted(self):
-        from repro.runtime import as_streaming
-        from repro.typing import StreamingBackend
-
-        class MapOnly:
-            name = "map-only"
-
-            def map(self, fn, items):
-                return [fn(i) for i in items]
-
-        backend = MapOnly()
-        assert not isinstance(backend, StreamingBackend)
-        adapted = as_streaming(backend)
-        assert isinstance(adapted, StreamingBackend)
-        executor = RankExecutor(backend)
-        done = list(executor.run_iter(lambda x: x + 1, [1, 2, 3]))
-        assert [c.value for c in done] == [2, 3, 4]
-
     def test_thread_backend_overlaps_straggler(self):
         # One slow task on two workers: total wall must be well below
         # the serial sum (real sleeps, kept tiny).
@@ -509,9 +439,6 @@ class LoseFirstBackend:
 
     def as_completed(self, handles):
         return iter(handles)
-
-    def map(self, fn, items):
-        return [self.submit(fn, item).result() for item in items]
 
 
 class TestExecutorReassignment:

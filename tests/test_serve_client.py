@@ -1,15 +1,14 @@
-"""Wire tests of the graph-service clients against a scripted server.
+"""Wire tests of the graph-service client against a scripted server.
 
 A raw-socket server plays fixed response bytes, in pieces, so the
 client's response reader meets every framing the protocol allows
 (``Content-Length``, 304, chunked with extensions and trailers, a body
 read to EOF), every split of the bytes across reads, and the
 malformed or truncated responses it must refuse with
-``ServeError(status=None)``.  Both clients share the reader, and the
-same responses through each must give the same results.
+``ServeError(status=None)``.  Any split of a response must read as the
+whole response does.
 """
 
-import asyncio
 import json
 import socket
 import threading
@@ -31,7 +30,7 @@ from repro.net.codec import (
     encode_frame,
     encode_tile_payload,
 )
-from repro.serve import AsyncServeClient, ServeClient, ServerConfig, start_in_thread
+from repro.serve import ServeClient, ServerConfig, start_in_thread
 from repro.serve.http import MAX_HEADER_BYTES
 
 DOC = {"digest": "sha256:" + "ab" * 32, "cached": True, "record": {"num_edges": "7"}}
@@ -178,24 +177,13 @@ def _sync(url, call, timeout=10.0):
         return call(client)
 
 
-def _async(url, call, timeout=10.0):
-    async def go():
-        return await call(AsyncServeClient(url, timeout=timeout))
-
-    return asyncio.run(go())
-
-
-def _tiles_equal(a, b):
-    return (
-        a.tiles == b.tiles
-        and a.open_doc == b.open_doc
-        and a.commit_doc == b.commit_doc
-        and a.result_doc == b.result_doc
-        and all(
-            x.dtype == y.dtype and np.array_equal(x, y)
-            for x, y in ((a.rows, b.rows), (a.cols, b.cols), (a.vals, b.vals))
-        )
-    )
+def _assert_tiles(result):
+    """``result`` is the stream :func:`_tile_frames` encodes."""
+    assert result.tiles == [(2, 5), (3, 0), (4, 2)]
+    assert result.nnz == 7
+    for got, want in zip((result.rows, result.cols, result.vals), zip(*TILES)):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.concatenate(want))
 
 
 class TestBodies:
@@ -217,16 +205,14 @@ class TestBodies:
 
     def test_body_read_to_eof(self):
         reply = b"HTTP/1.1 200 OK\r\n\r\n" + BODY
-        with ScriptedServer([[reply]], [[reply]]) as server:
+        with ScriptedServer([[reply]]) as server:
             assert _sync(server.url, lambda c: c.health()) == DOC
-            assert _async(server.url, lambda c: c.health()) == DOC
+        assert server.accepted == 1
 
     def test_chunked_tile_stream(self):
         with ScriptedServer([[CHUNKED_REPLY]]) as server:
             result = _sync(server.url, lambda c: c.fetch_tiles("d", 0, start=2))
-        assert result.tiles == [(2, 5), (3, 0), (4, 2)]
-        for got, want in zip((result.rows, result.cols, result.vals), zip(*TILES)):
-            np.testing.assert_array_equal(got, np.concatenate(want))
+        _assert_tiles(result)
 
     @given(
         which=st.sampled_from(["json", "304", "chunked"]),
@@ -238,30 +224,21 @@ class TestBodies:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_any_split_reads_alike_through_both_clients(self, which, structural, anywhere):
-        raw, call, acall = {
-            "json": (JSON_REPLY, lambda c: c.get_design("d"), lambda c: c.get_design("d")),
-            "304": (
-                NOT_MODIFIED,
-                lambda c: c.get_design("d", etag=ETAG),
-                lambda c: c.get_design("d", etag=ETAG),
-            ),
-            "chunked": (
-                CHUNKED_REPLY,
-                lambda c: c.fetch_tiles("d", 0, start=2),
-                lambda c: c.fetch_tiles("d", 0, start=2),
-            ),
+    def test_any_split_reads_alike(self, which, structural, anywhere):
+        raw, call = {
+            "json": (JSON_REPLY, lambda c: c.get_design("d")),
+            "304": (NOT_MODIFIED, lambda c: c.get_design("d", etag=ETAG)),
+            "chunked": (CHUNKED_REPLY, lambda c: c.fetch_tiles("d", 0, start=2)),
         }[which]
         pieces = _split(raw, [*structural, *anywhere])
-        with ScriptedServer([pieces], [pieces]) as server:
-            sync = _sync(server.url, call)
-            asynchronous = _async(server.url, acall)
+        with ScriptedServer([pieces]) as server:
+            reply = _sync(server.url, call)
         if which == "chunked":
-            assert _tiles_equal(sync, asynchronous)
-            assert sync.nnz == 7
+            _assert_tiles(reply)
+        elif which == "304":
+            assert (reply.status, reply.etag, reply.doc) == (304, ETAG, None)
         else:
-            assert sync == asynchronous
-            assert sync.etag == ETAG
+            assert (reply.status, reply.etag, reply.doc) == (200, ETAG, DOC)
 
 
 class TestConnections:
@@ -324,26 +301,21 @@ class TestRefusals:
     @pytest.mark.parametrize("name", sorted(BAD_REPLIES))
     def test_malformed_or_truncated_reply_raises_without_status(self, name):
         raw = BAD_REPLIES[name]
-        with ScriptedServer([[raw]], [[raw]]) as server:
-            with pytest.raises(ServeError) as sync_err:
+        with ScriptedServer([[raw]]) as server:
+            with pytest.raises(ServeError) as err:
                 _sync(server.url, lambda c: c.health())
-            with pytest.raises(ServeError) as async_err:
-                _async(server.url, lambda c: c.health())
-        assert sync_err.value.status is None
-        assert async_err.value.status is None
-        assert server.accepted == 2  # one each: a fresh connection is not retried
+        assert err.value.status is None
+        assert server.accepted == 1  # a fresh connection is not retried
 
     def test_timeout_raises_without_status(self):
-        # The server reads each request and never answers.
-        with ScriptedServer([[]], [[]], hold=True) as server:
+        # The server accepts the connection and never answers.
+        with ScriptedServer([[]], hold=True) as server:
             started = time.monotonic()
-            with pytest.raises(ServeError, match="timed out") as sync_err:
+            with pytest.raises(ServeError, match="timed out") as err:
                 _sync(server.url, lambda c: c.health(), timeout=0.2)
-            with pytest.raises(ServeError, match="timed out") as async_err:
-                _async(server.url, lambda c: c.health(), timeout=0.2)
             elapsed = time.monotonic() - started
-        assert sync_err.value.status is None
-        assert async_err.value.status is None
+        assert err.value.status is None
+        assert server.accepted == 1
         assert elapsed < 5
 
     def test_error_status_keeps_its_code(self):
@@ -352,12 +324,11 @@ class TestRefusals:
             b"HTTP/1.1 404 Not Found\r\nContent-Length: "
             + str(len(body)).encode() + b"\r\n\r\n" + body
         )
-        with ScriptedServer([[reply]], [[reply]]) as server:
-            with pytest.raises(ServeError, match="no such digest") as sync_err:
+        with ScriptedServer([[reply]]) as server:
+            with pytest.raises(ServeError, match="no such digest") as err:
                 _sync(server.url, lambda c: c.get_design("d"))
-            with pytest.raises(ServeError, match="no such digest") as async_err:
-                _async(server.url, lambda c: c.get_design("d"))
-        assert sync_err.value.status == async_err.value.status == 404
+        assert err.value.status == 404
+        assert server.accepted == 1
 
 
 class TestQueryCommand:

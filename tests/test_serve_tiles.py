@@ -8,8 +8,6 @@ record equals the locally computed ``analytic_properties`` record
 field-for-field under ``diff_properties``.
 """
 
-import asyncio
-
 import numpy as np
 import pytest
 
@@ -26,7 +24,7 @@ from repro.engine import (
     plan_from_model,
 )
 from repro.models import resolve_model
-from repro.serve import AsyncServeClient, ServeClient, ServerConfig, start_in_thread
+from repro.serve import ServeClient, ServerConfig, start_in_thread
 
 STAR_SIZES = [3, 4, 5]
 SELF_LOOP = "center"
@@ -200,28 +198,3 @@ class TestIterTaskTiles:
             assert cols.tobytes() == bcols.tobytes()
             assert vals.tobytes() == bvals.tobytes()
 
-
-class TestAsyncClient:
-    def test_async_client_round_trip_matches_sync(self, server, client):
-        digest = client.post_design(_spec("noisy-skg"))["digest"]
-        sync_tiles = client.fetch_tiles(digest, 0, ranks=RANKS)
-        sync_record = client.get_design(digest)
-
-        async def _go():
-            ac = AsyncServeClient(server.base_url)
-            health = await ac.health()
-            reply = await ac.post_design(_spec("noisy-skg"))
-            record = await ac.get_design(digest)
-            revalidated = await ac.get_design(digest, etag=record.etag)
-            tiles = await ac.fetch_tiles(digest, 0, ranks=RANKS)
-            return health, reply, record, revalidated, tiles
-
-        health, reply, record, revalidated, tiles = asyncio.run(_go())
-        assert health["status"] == "ok"
-        assert reply["digest"] == digest
-        assert record.doc["record"] == sync_record.doc["record"]
-        assert record.etag == sync_record.etag
-        assert revalidated.status == 304
-        assert tiles.rows.tobytes() == sync_tiles.rows.tobytes()
-        assert tiles.cols.tobytes() == sync_tiles.cols.tobytes()
-        assert tiles.vals.tobytes() == sync_tiles.vals.tobytes()

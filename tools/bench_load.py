@@ -9,15 +9,16 @@ thread owning its own connection — and reports the latency
 distribution (p50/p95/p99 in milliseconds) and aggregate throughput.
 
 The contract being measured is the serving layer's whole point: a warm
-design query is one cache file read behind an event loop, so under
-concurrency it must stay flat (no engine executions, no lock convoy).
+design query is answered from memory on the event loop (one prebuilt
+write), so under concurrency it must stay flat (no engine executions,
+no lock convoy).
 When the harness boots the server itself it asserts exactly that —
 zero ``serve.design_computes`` during the measured phase, every
 request a cache hit.
 
 Measurements append to the ``BENCH_serve.json`` trajectory (created on
 first run, never overwritten at the repo root; always copied into
-``--artifact-dir`` for CI upload).  ``tools/bench_smoke.py`` guard 10
+``--artifact-dir`` for CI upload).  ``tools/bench_smoke.py`` guard 6
 reuses :func:`run_load` and enforces the p99 floor against the
 recorded trajectory.
 """

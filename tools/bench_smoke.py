@@ -1,30 +1,26 @@
 #!/usr/bin/env python
 """Benchmark smoke target: ``python tools/bench_smoke.py``.
 
-Seven cheap CI guards:
+Six cheap CI guards:
 
 1. the Fig.-3 scaling benchmark at toy scale (the metrics-snapshot test
    only), asserting a machine-readable metrics JSON was produced — the
    perf trajectory stays observable;
-2. a tiny ``--memory-budget`` streamed run, asserting the engine
-   actually tiled (``engine.tiles`` > rank count) AND that the tiled
-   output is byte-identical to the default-budget run — the
-   bounded-memory path stays exact;
-3. the chunked shard reader against a per-line reference, asserting
+2. the chunked shard reader against a per-line reference, asserting
    equality and a throughput floor — the fast path stays fast;
-4. a streamed run with one injected 10× straggler rank on a 4-worker
+3. a streamed run with one injected 10× straggler rank on a 4-worker
    thread backend, run under both schedulers, asserting the work queue
    beats the static path on wall-clock, beats it on worker utilization
    (with an absolute floor), and produces byte-identical shards and
    manifest — the completion-driven path stays both faster and exact;
-5. the model-determinism guard: a stochastic-Kronecker (``skg``) run
+4. the model-determinism guard: a stochastic-Kronecker (``skg``) run
    executed twice with the same seed must produce byte-identical shards
    and manifest, a different seed must change the bytes, and the
    per-model edges/sec (``kron``/``skg``/``noisy-skg`` at a common toy
    scale) is appended to the recorded ``BENCH_models.json`` trajectory —
    counter-based seeding stays reproducible and the model layer's
    throughput stays observable;
-6. the catalog-cache guard: a warm ``DesignCatalog`` lookup of a
+5. the catalog-cache guard: a warm ``DesignCatalog`` lookup of a
    stochastic-model record must return the cold compute's record and
    leave its cache entry byte-identical; a corrupted (bit-flipped)
    entry must be silently recomputed — never trusted, never a crash —
@@ -33,7 +29,7 @@ Seven cheap CI guards:
    design-server latency contract stays measured (that a warm lookup
    computes nothing is asserted by
    ``tests/test_catalog_cache.py::test_warm_lookup_hits_without_recompute``);
-7. the serve-latency guard: 32 concurrent clients issuing warm
+6. the serve-latency guard: 32 concurrent clients issuing warm
    ``GET /v1/design/{digest}`` queries against an in-process
    :class:`repro.serve.DesignServer` must all be served from the
    catalog cache (zero engine executions during the measured phase)
@@ -43,13 +39,14 @@ Seven cheap CI guards:
    ``tools/bench_load.py``) — the serving layer's warm-path latency
    contract stays enforced.
 
-Byte-identity after an interrupted-then-resumed run and over the
-socket transport are tier-1 tests
-(``tests/test_stream_resume.py::TestResume::test_interrupted_then_resumed_is_byte_identical``,
+Byte-identity under a tiny tile budget, after an interrupted-then-resumed
+run and over the socket transport are tier-1 tests
+(``tests/test_engine.py::TestBoundedMemoryExecution::test_tiny_budget_stream_bytes_identical``,
+``tests/test_stream_resume.py::TestResume::test_interrupted_then_resumed_is_byte_identical``,
 ``tests/test_sink_conformance.py::TestByteIdentityAcrossTransports::test_shard_output_byte_identical``).
 
-With ``--artifact-dir`` the tiled and straggler runs' metrics snapshots
-plus the updated ``BENCH_*.json`` trajectories are written there for CI
+With ``--artifact-dir`` the straggler run's metrics snapshot plus the
+updated ``BENCH_*.json`` trajectories are written there for CI
 to upload.  The full benchmark suite is run separately.
 """
 
@@ -63,72 +60,6 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-
-
-def smoke_tiled_budget(
-    root: Path, memory_budget: int | None, artifact_dir: Path | None
-) -> int:
-    """Run the streamed generator under a tiny tile budget and require
-    (a) real tiling happened, (b) byte-identity with the default run."""
-    sys.path.insert(0, str(root / "src"))
-    from repro.design import PowerLawDesign
-    from repro.engine import RunConfig
-    from repro.parallel import generate_to_disk
-    from repro.runtime import MetricsRegistry
-
-    design = PowerLawDesign([3, 4, 5], "center")
-    n_ranks = 5
-    if memory_budget is None:
-        # 63 is the smallest budget at which both split halves of this
-        # design's factor nnzs [7, 9, 11] still fit.
-        memory_budget = 63
-    metrics = MetricsRegistry()
-    with tempfile.TemporaryDirectory(prefix="repro-tile-smoke-") as tmp:
-        default_dir, tiny_dir = Path(tmp) / "default", Path(tmp) / "tiny"
-        generate_to_disk(design, n_ranks, default_dir)
-        generate_to_disk(
-            design,
-            n_ranks,
-            tiny_dir,
-            config=RunConfig(memory_budget_entries=memory_budget),
-            metrics=metrics,
-        )
-        snapshot = metrics.snapshot()
-        tiles = snapshot["counters"].get("engine.tiles", 0)
-        if tiles <= n_ranks:
-            print(
-                f"bench-smoke: budget {memory_budget} produced only {tiles} "
-                f"tiles over {n_ranks} ranks — tiling did not engage",
-                file=sys.stderr,
-            )
-            return 1
-        for path in sorted(default_dir.iterdir()):
-            if (tiny_dir / path.name).read_bytes() != path.read_bytes():
-                print(
-                    f"bench-smoke: {path.name} differs under tile budget "
-                    f"{memory_budget}",
-                    file=sys.stderr,
-                )
-                return 1
-    snapshot["run"] = {
-        "command": "bench-smoke tiled-budget",
-        "memory_budget_entries": memory_budget,
-        "ranks": n_ranks,
-        "tiles": tiles,
-        "peak_tile_entries": snapshot["gauges"].get("engine.peak_tile_entries"),
-    }
-    if artifact_dir is not None:
-        artifact_dir.mkdir(parents=True, exist_ok=True)
-        out = artifact_dir / "tiled_budget_metrics.json"
-        out.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-        print(f"bench-smoke: wrote tiled-run metrics to {out}", file=sys.stderr)
-    print(
-        f"bench-smoke: OK — budget {memory_budget} cut {tiles:.0f} tiles "
-        f"(peak {snapshot['run']['peak_tile_entries']:.0f} entries), "
-        "output byte-identical to default budget",
-        file=sys.stderr,
-    )
-    return 0
 
 
 class StragglerDelay:
@@ -318,7 +249,7 @@ def _load_trajectory(path: Path) -> list[dict]:
 
 
 def smoke_model_determinism(root: Path, artifact_dir: Path | None) -> int:
-    """Guard 7: SKG seed determinism and the per-model BENCH trajectory."""
+    """Guard 4: SKG seed determinism and the per-model BENCH trajectory."""
     sys.path.insert(0, str(root / "src"))
     from repro.design import PowerLawDesign
     from repro.engine import ShardSink, execute, plan_from_design, plan_from_model
@@ -427,7 +358,7 @@ def smoke_model_determinism(root: Path, artifact_dir: Path | None) -> int:
 
 
 def smoke_catalog_cache(root: Path, artifact_dir: Path | None) -> int:
-    """Guard 8: warm catalog lookups and corrupt-entry recompute."""
+    """Guard 5: warm catalog lookups and corrupt-entry recompute."""
     sys.path.insert(0, str(root / "src"))
     from repro.catalog import DesignCatalog, key_digest
     from repro.catalog.record import SOURCE_ANALYTIC
@@ -544,7 +475,7 @@ def smoke_catalog_cache(root: Path, artifact_dir: Path | None) -> int:
 
 
 def smoke_serve_latency(root: Path, artifact_dir: Path | None) -> int:
-    """Guard 9: warm design queries under concurrency stay flat.
+    """Guard 6: warm design queries under concurrency stay flat.
 
     32 concurrent clients hammer the warm ``GET /v1/design/{digest}``
     path of an in-process :class:`repro.serve.DesignServer`.  Every
@@ -620,14 +551,6 @@ def smoke_serve_latency(root: Path, artifact_dir: Path | None) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--memory-budget",
-        type=int,
-        default=None,
-        metavar="ENTRIES",
-        help="tile budget for the tiled-run guard (default: the smallest "
-        "feasible budget for the smoke design)",
-    )
-    parser.add_argument(
         "--artifact-dir",
         type=Path,
         default=None,
@@ -681,7 +604,6 @@ def main(argv: list[str] | None = None) -> int:
                 snapshot_path.read_bytes()
             )
     for guard in (
-        lambda: smoke_tiled_budget(root, args.memory_budget, args.artifact_dir),
         lambda: smoke_degree_reader(root),
         lambda: smoke_straggler_queue(root, args.artifact_dir),
         lambda: smoke_model_determinism(root, args.artifact_dir),
